@@ -206,11 +206,16 @@ func attachCampaignRecorder(g *sweep.Grid, recordDir, id string) error {
 	return nil
 }
 
-// campaignChunk sizes the checkpoint granularity: big enough to keep a
-// remote pool busy, small enough that an interruption loses little work.
+// campaignChunk sizes the checkpoint granularity. Every chunk costs an
+// fsynced checkpoint and a barrier where the whole pool waits for its
+// slowest shard; every cell in it is work an interruption can lose. A
+// remote chunk holds 16 cells per worker, so RemoteRunner's auto-sizing
+// (about 4 shards per worker) sends 4-cell shards rather than one-cell
+// round trips. A local -resume run keeps 4-cell chunks: its cells need no
+// round trip.
 func campaignChunk(remote []string) int {
-	if n := 2 * len(remote); n > 4 {
-		return n
+	if len(remote) > 0 {
+		return 16 * len(remote)
 	}
 	return 4
 }

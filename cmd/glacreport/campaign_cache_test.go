@@ -64,21 +64,33 @@ func assertDirsIdenticalExceptManifest(t *testing.T, ref, got string) {
 	}
 }
 
+// countEventLogs counts the cell event logs a recording campaign wrote
+// under dir: one per simulated cell, none for a cell served from the cache.
+func countEventLogs(t *testing.T, dir string) int {
+	t.Helper()
+	logs, err := filepath.Glob(filepath.Join(dir, "*", "*.evlog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(logs)
+}
+
 // The headline acceptance criterion: a campaign re-run against the cache
-// it populated simulates zero cells (every Get hits, nothing stores) and
-// writes artifacts byte-identical to both the cold run and an entirely
-// uncached run, with the counters recorded in manifest.json.
+// it populated simulates zero cells (every Get hits, nothing stores, and
+// the Record hook — which runs once per simulated cell — writes no event
+// log) and writes artifacts byte-identical to both the cold run and an
+// entirely uncached run, with the counters recorded in manifest.json.
 func TestCampaignWarmCacheIsByteIdenticalAndSimulatesNothing(t *testing.T) {
 	uncached, cold, warm := t.TempDir(), t.TempDir(), t.TempDir()
-	cacheDir := t.TempDir()
+	cacheDir, coldRec, warmRec := t.TempDir(), t.TempDir(), t.TempDir()
 
 	if err := runCampaign(uncached, 42, 2, 3, 0, 0, 1, false, nil, false, nil, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := runCampaign(cold, 42, 2, 3, 0, 0, 1, false, nil, false, openTestCache(t, cacheDir), ""); err != nil {
+	if err := runCampaign(cold, 42, 2, 3, 0, 0, 1, false, nil, false, openTestCache(t, cacheDir), coldRec); err != nil {
 		t.Fatal(err)
 	}
-	if err := runCampaign(warm, 42, 2, 3, 0, 0, 1, false, nil, false, openTestCache(t, cacheDir), ""); err != nil {
+	if err := runCampaign(warm, 42, 2, 3, 0, 0, 1, false, nil, false, openTestCache(t, cacheDir), warmRec); err != nil {
 		t.Fatal(err)
 	}
 	assertDirsIdenticalExceptManifest(t, uncached, cold)
@@ -111,6 +123,12 @@ func TestCampaignWarmCacheIsByteIdenticalAndSimulatesNothing(t *testing.T) {
 	}
 	if warmMan.Cache.Hits != totalCells || warmMan.Cache.Misses != 0 || warmMan.Cache.Stores != 0 {
 		t.Fatalf("warm manifest cache = %+v, want all %d cells served from the cache", warmMan.Cache, totalCells)
+	}
+	if n := countEventLogs(t, coldRec); int64(n) != totalCells {
+		t.Fatalf("cold campaign simulated %d cells, want all %d", n, totalCells)
+	}
+	if n := countEventLogs(t, warmRec); n != 0 {
+		t.Fatalf("warm campaign simulated %d cells, want none", n)
 	}
 
 	// Aside from the cache record, the manifests are identical.

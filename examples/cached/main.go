@@ -1,12 +1,13 @@
 // Cached: the incremental-campaign loop in one program. A sweep grid runs
 // cold through a LocalRunner backed by the on-disk result cache, then the
 // identical grid runs again warm: the second pass serves every cell from
-// disk — zero simulations, counters prove it — and its summary is
-// byte-for-byte the first one's. A third pass runs a *different* grid to
-// show the isolation rule: entries key on the whole plan fingerprint, so
-// a changed campaign never aliases into the cached one. Finally one cache
-// entry is deliberately poisoned to show the verification chain refusing
-// it and re-simulating instead of serving corrupt bytes.
+// disk — zero simulations, counted by an Observe hook that runs once per
+// simulated cell — and its summary is byte-for-byte the first one's. A
+// third pass runs a *different* grid to show the isolation rule: entries
+// key on the whole plan fingerprint, so a changed campaign never aliases
+// into the cached one. Finally one cache entry is deliberately poisoned to
+// show the verification chain refusing it and re-simulating instead of
+// serving corrupt bytes.
 package main
 
 import (
@@ -14,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 
 	"repro"
 )
@@ -25,19 +27,28 @@ func main() {
 	}
 	defer func() { _ = os.RemoveAll(dir) }()
 
+	// Observe runs once per simulated cell and never for a cache hit, so
+	// it counts the simulations themselves rather than inferring them from
+	// the cache's miss counter.
+	var simulated atomic.Int64
 	grid := repro.SweepGrid{
 		Scenarios: []string{"as-deployed-2008", "dual-base"},
 		Seeds:     repro.SeedRange(42, 3),
 		Days:      7,
+		Observe: func(repro.SweepCell, *repro.Deployment) []repro.SweepMetric {
+			simulated.Add(1)
+			return nil
+		},
 	}
 
-	run := func(label string, g repro.SweepGrid) ([]byte, repro.SweepCacheStats) {
+	run := func(label string, g repro.SweepGrid) ([]byte, repro.SweepCacheStats, int64) {
 		// A fresh Open per pass plays the role of a fresh process: only
 		// the files on disk carry state between campaigns.
 		cache, err := repro.OpenResultCache(dir, repro.SweepCacheOptions{})
 		if err != nil {
 			panic(err)
 		}
+		before := simulated.Load()
 		sum, err := repro.RunSweepOn(g, repro.SweepLocalRunner{Cache: cache})
 		if err != nil {
 			panic(err)
@@ -46,17 +57,17 @@ func main() {
 		if err := sum.WriteJSON(&buf); err != nil {
 			panic(err)
 		}
-		st := cache.Stats()
-		fmt.Printf("%-28s %2d hits  %2d misses (simulated)  %2d stored\n",
-			label, st.Hits, st.Misses, st.Stores)
-		return buf.Bytes(), st
+		st, n := cache.Stats(), simulated.Load()-before
+		fmt.Printf("%-30s %2d hits  %2d misses  %2d simulated  %2d stored\n",
+			label, st.Hits, st.Misses, n, st.Stores)
+		return buf.Bytes(), st, n
 	}
 
-	cold, _ := run("cold campaign:", grid)
-	warm, warmStats := run("warm re-run:", grid)
+	cold, _, _ := run("cold campaign:", grid)
+	warm, _, warmSimulated := run("warm re-run:", grid)
 	switch {
-	case warmStats.Misses != 0:
-		fmt.Println("!! warm re-run simulated cells")
+	case warmSimulated != 0:
+		fmt.Printf("!! warm re-run simulated %d cells\n", warmSimulated)
 	case !bytes.Equal(cold, warm):
 		fmt.Println("!! warm artifact differs from cold")
 	default:
@@ -74,7 +85,7 @@ func main() {
 	// fingerprint, so none of the cached cells can alias into this one.
 	wider := grid
 	wider.Seeds = repro.SeedRange(42, 5)
-	_, widerStats := run("different campaign (5 seeds):", wider)
+	_, widerStats, _ := run("different campaign (5 seeds):", wider)
 	if widerStats.Hits != 0 {
 		fmt.Println("!! a different campaign was served another campaign's cells")
 	} else {
@@ -92,8 +103,8 @@ func main() {
 		panic(err)
 	}
 	fmt.Printf("poisoned %s\n", filepath.Base(entries[0]))
-	poisoned, pStats := run("campaign over poisoned cache:", grid)
-	if bytes.Equal(cold, poisoned) && pStats.Misses == 1 {
+	poisoned, _, pSimulated := run("campaign over poisoned cache:", grid)
+	if bytes.Equal(cold, poisoned) && pSimulated == 1 {
 		fmt.Println("   -> poisoned entry refused and re-simulated; artifact still byte-identical")
 	} else {
 		fmt.Println("!! poisoned cache changed the output")

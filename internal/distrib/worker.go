@@ -19,7 +19,10 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"time"
 
+	"repro/internal/deploy"
 	"repro/internal/sweep"
 )
 
@@ -145,34 +148,12 @@ func (w *Worker) serveShard(rw http.ResponseWriter, r *http.Request) {
 			http.StatusServiceUnavailable)
 		return
 	}
-	defer w.release()
-
-	g, err := req.BuildGrid()
+	// execute frees the slot before any reply is written: a coordinator
+	// that sends its next shard the moment it has decoded this reply must
+	// find the slot free, not race the handler's return into a 503.
+	sum, simulated, status, err := w.execute(req)
 	if err != nil {
-		http.Error(rw, err.Error(), http.StatusBadRequest)
-		return
-	}
-	plan, fp, err := w.planFor(req, g)
-	if err != nil {
-		http.Error(rw, fmt.Sprintf("plan: %v", err), http.StatusBadRequest)
-		return
-	}
-	// The provenance gate: a worker whose scenario registry, hook set or
-	// binary drifted from the coordinator's enumerates a different plan —
-	// refuse loudly rather than compute cells from the wrong grid.
-	if fp != req.Fingerprint || len(plan) != req.TotalCells {
-		http.Error(rw, fmt.Sprintf("plan mismatch: this worker computes fingerprint %s over %d cells, request carries %s over %d (grid or binary drift)",
-			fp, len(plan), req.Fingerprint, req.TotalCells), http.StatusConflict)
-		return
-	}
-	cells, err := sweep.CellsAt(plan, req.Indices)
-	if err != nil {
-		http.Error(rw, err.Error(), http.StatusBadRequest)
-		return
-	}
-	sum, err := sweep.RunPlanned(g, sweep.LocalRunner{Workers: w.CellWorkers, Cache: w.Cache}, fp, len(plan), cells)
-	if err != nil {
-		http.Error(rw, fmt.Sprintf("run: %v", err), http.StatusInternalServerError)
+		http.Error(rw, err.Error(), status)
 		return
 	}
 	rw.Header().Set("Content-Type", "application/json")
@@ -182,7 +163,50 @@ func (w *Worker) serveShard(rw http.ResponseWriter, r *http.Request) {
 		w.logf("distrib worker: write partial summary: %v", err)
 		return
 	}
-	w.logf("distrib worker: served %d cells of plan %s", len(req.Indices), req.Fingerprint)
+	w.logf("distrib worker: served %d cells (simulated %d) of plan %s", len(req.Indices), simulated, req.Fingerprint)
+}
+
+// execute runs a request in the shard slot serveShard acquired and
+// releases it on return. It reports the partial summary and how many of
+// its cells were simulated rather than served from the cache, or an error
+// with the HTTP status to reply with.
+func (w *Worker) execute(req ShardRequest) (*sweep.Summary, int64, int, error) {
+	defer w.release()
+	g, err := req.BuildGrid()
+	if err != nil {
+		return nil, 0, http.StatusBadRequest, err
+	}
+	plan, fp, err := w.planFor(req, g)
+	if err != nil {
+		return nil, 0, http.StatusBadRequest, fmt.Errorf("plan: %w", err)
+	}
+	// The provenance gate: a worker whose scenario registry, hook set or
+	// binary drifted from the coordinator's enumerates a different plan —
+	// refuse loudly rather than compute cells from the wrong grid.
+	if fp != req.Fingerprint || len(plan) != req.TotalCells {
+		return nil, 0, http.StatusConflict, fmt.Errorf("plan mismatch: this worker computes fingerprint %s over %d cells, request carries %s over %d (grid or binary drift)",
+			fp, len(plan), req.Fingerprint, req.TotalCells)
+	}
+	cells, err := sweep.CellsAt(plan, req.Indices)
+	if err != nil {
+		return nil, 0, http.StatusBadRequest, err
+	}
+	// Record runs once per simulated cell, after Build, and never for a
+	// cache hit: chaining onto it counts real simulations, not misses.
+	var simulated atomic.Int64
+	record := g.Record
+	g.Record = func(c sweep.Cell, d *deploy.Deployment) (func() error, error) {
+		simulated.Add(1)
+		if record == nil {
+			return nil, nil
+		}
+		return record(c, d)
+	}
+	sum, err := sweep.RunPlanned(g, sweep.LocalRunner{Workers: w.CellWorkers, Cache: w.Cache}, fp, len(plan), cells)
+	if err != nil {
+		return nil, 0, http.StatusInternalServerError, fmt.Errorf("run: %w", err)
+	}
+	return sum, simulated.Load(), http.StatusOK, nil
 }
 
 // planFor enumerates and fingerprints the request's plan, through a
@@ -219,8 +243,19 @@ func (w *Worker) planFor(req ShardRequest, g sweep.Grid) ([]sweep.Cell, string, 
 	return plan, fp, nil
 }
 
+// serveReadHeaderTimeout bounds how long a connection may take to send
+// its request header, and serveIdleTimeout how long a keep-alive
+// connection may sit between requests, so a stalled or abandoned client
+// cannot hold a socket forever. Neither bounds a shard's execution or its
+// reply, which are unbounded as RemoteRunner documents. Variables so
+// tests can tighten them.
+var (
+	serveReadHeaderTimeout = 10 * time.Second
+	serveIdleTimeout       = 2 * time.Minute
+)
+
 // Serve runs a worker daemon on l until the listener closes.
 func Serve(l net.Listener, w *Worker) error {
-	srv := &http.Server{Handler: w}
+	srv := &http.Server{Handler: w, ReadHeaderTimeout: serveReadHeaderTimeout, IdleTimeout: serveIdleTimeout}
 	return srv.Serve(l)
 }

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -55,8 +58,18 @@ func resetBlockChan() {
 	blockGate.ch = make(chan struct{})
 }
 
+// countedRuns counts the cells the "disttest/count" hook set saw run.
+var countedRuns atomic.Int64
+
 func init() {
 	RegisterHooks("disttest/tag", testTagHooks)
+	RegisterHooks("disttest/count", func(_ string, g *sweep.Grid) error {
+		g.Observe = func(sweep.Cell, *deploy.Deployment) []sweep.Metric {
+			countedRuns.Add(1)
+			return nil
+		}
+		return nil
+	})
 	RegisterHooks("disttest/block", func(_ string, g *sweep.Grid) error {
 		g.Drive = func(sweep.Cell, *deploy.Deployment) ([]sweep.Metric, error) {
 			<-blockChan()
@@ -311,5 +324,131 @@ func TestWorkerPoolSharesOneCache(t *testing.T) {
 	}
 	if st := secondCache.Stats(); st.Hits != 2 || st.Misses != 0 || st.Stores != 0 {
 		t.Fatalf("second worker's cache stats = %+v, want 2 hits and nothing simulated", st)
+	}
+}
+
+// lineLog collects a worker's Logf lines.
+type lineLog struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *lineLog) logf(format string, a ...any) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.lines = append(l.lines, fmt.Sprintf(format, a...))
+}
+
+func (l *lineLog) last() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.lines) == 0 {
+		return ""
+	}
+	return l.lines[len(l.lines)-1]
+}
+
+// A shard whose cells are all in the worker's cache is served without
+// running a single cell, byte-identical to the cold reply, and the
+// worker's log line says so.
+func TestWorkerServesWarmShardWithoutSimulating(t *testing.T) {
+	cache, err := rescache.Open(t.TempDir(), rescache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log lineLog
+	srv := httptest.NewServer(&Worker{Cache: cache, Logf: log.logf})
+	defer srv.Close()
+	g := sweep.Grid{Scenarios: []string{"as-deployed-2008"}, Seeds: []int64{5, 6, 7}, Days: 1}
+	req := shardRequest(t, g, "disttest/count", "")
+	read := func() []byte {
+		t.Helper()
+		resp := post(t, srv.URL, req)
+		defer func() { _ = resp.Body.Close() }()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %s", resp.Status)
+		}
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+
+	before := countedRuns.Load()
+	cold := read()
+	if n := countedRuns.Load() - before; n != 3 {
+		t.Fatalf("cold shard ran %d cells, want 3", n)
+	}
+	if want := "served 3 cells (simulated 3)"; !strings.Contains(log.last(), want) {
+		t.Fatalf("cold log line %q lacks %q", log.last(), want)
+	}
+	before = countedRuns.Load()
+	warm := read()
+	if n := countedRuns.Load() - before; n != 0 {
+		t.Fatalf("warm shard ran %d cells, want none", n)
+	}
+	if want := "served 3 cells (simulated 0)"; !strings.Contains(log.last(), want) {
+		t.Fatalf("warm log line %q lacks %q", log.last(), want)
+	}
+	if !bytes.Equal(cold, warm) {
+		t.Fatal("warm reply differs from the cold one")
+	}
+}
+
+// A closed-loop client — next shard the moment the previous reply has
+// decoded, exactly RemoteRunner's dispatch loop — never meets a 503 at
+// MaxShards 1: the worker frees its slot before writing the reply. The
+// worker's Logf stalls after every reply, widening the window between the
+// reply's last byte and the handler's return.
+func TestWorkerFreesSlotBeforeReply(t *testing.T) {
+	srv := httptest.NewServer(&Worker{MaxShards: 1, Logf: func(string, ...any) {
+		time.Sleep(20 * time.Millisecond)
+	}})
+	defer srv.Close()
+	// Enough cells that the reply outgrows the server's write buffer and
+	// reaches the client before the handler returns.
+	g := sweep.Grid{Scenarios: []string{"as-deployed-2008"}, Seeds: sweep.SeedRange(1, 16), Days: 1}
+	req := shardRequest(t, g, "", "")
+	for i := 0; i < 10; i++ {
+		resp := post(t, srv.URL, req)
+		if resp.StatusCode != http.StatusOK {
+			_ = resp.Body.Close()
+			t.Fatalf("shard %d: status %s, want 200", i, resp.Status)
+		}
+		_, err := sweep.ReadSummary(resp.Body)
+		_ = resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// The daemon drops a connection that never sends its request header
+// instead of holding the socket open forever.
+func TestServeClosesHeaderlessConnection(t *testing.T) {
+	defer func(d time.Duration) { serveReadHeaderTimeout = d }(serveReadHeaderTimeout)
+	serveReadHeaderTimeout = 100 * time.Millisecond
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- Serve(l, &Worker{}) }()
+	defer func() {
+		_ = l.Close()
+		<-served
+	}()
+
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read on a header-less connection: %v, want the worker to close it (EOF)", err)
 	}
 }

@@ -58,9 +58,8 @@ type LocalRunner struct {
 // configuration fails to build.
 func (r LocalRunner) Run(g Grid, cells []Cell) ([]CellResult, error) {
 	if r.Cache == nil {
-		results := make([]CellResult, len(cells))
-		r.runPool(g, cells, results, nil)
-		return results, nil
+		// Without a cache the plan identity is never read.
+		return r.RunPlanned(g, "", 0, cells)
 	}
 	plan, err := Plan(g)
 	if err != nil {
@@ -71,39 +70,37 @@ func (r LocalRunner) Run(g Grid, cells []Cell) ([]CellResult, error) {
 
 // RunPlanned implements PlannedRunner: with a cache, the handed-over plan
 // fingerprint keys the lookups, so cached campaigns do not re-enumerate
-// the cross-product per chunk; without one it is exactly Run.
+// the cross-product per chunk; without one it is exactly Run. Only the
+// cache misses are simulated: a fully hit chunk never enters the pool.
 func (r LocalRunner) RunPlanned(g Grid, fingerprint string, totalCells int, cells []Cell) ([]CellResult, error) {
 	results := make([]CellResult, len(cells))
-	if r.Cache == nil {
-		r.runPool(g, cells, results, nil)
+	todo := make([]int, 0, len(cells))
+	for i, c := range cells {
+		if r.Cache != nil {
+			if cr, ok := r.Cache.Get(fingerprint, c); ok {
+				results[i] = cr
+				continue
+			}
+		}
+		todo = append(todo, i)
+	}
+	if len(todo) == 0 {
 		return results, nil
 	}
-	var misses []int
-	for i, c := range cells {
-		if cr, ok := r.Cache.Get(fingerprint, c); ok {
-			results[i] = cr
-		} else {
-			misses = append(misses, i)
-		}
-	}
-	r.runPool(g, cells, results, misses)
-	for _, i := range misses {
-		if results[i].Err == "" {
-			r.Cache.Put(fingerprint, results[i])
+	r.runPool(g, cells, results, todo)
+	if r.Cache != nil {
+		for _, i := range todo {
+			if results[i].Err == "" {
+				r.Cache.Put(fingerprint, results[i])
+			}
 		}
 	}
 	return results, nil
 }
 
-// runPool simulates cells[i] into results[i] for each i in todo (nil =
-// every cell) on the bounded pool.
+// runPool simulates cells[i] into results[i] for each i in todo on the
+// bounded pool.
 func (r LocalRunner) runPool(g Grid, cells []Cell, results []CellResult, todo []int) {
-	if todo == nil {
-		todo = make([]int, len(cells))
-		for i := range cells {
-			todo[i] = i
-		}
-	}
 	workers := r.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
