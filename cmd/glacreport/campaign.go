@@ -8,7 +8,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/campaign"
-	"repro/internal/deploy"
+	"repro/internal/cliutil"
 	"repro/internal/distrib"
 	"repro/internal/evlog"
 	"repro/internal/rescache"
@@ -106,14 +106,12 @@ func runCampaign(dir string, seed int64, seeds, days, workers, shardI, shardM in
 		}
 		var sum *sweep.Summary
 		var err error
-		switch {
-		case checkpointed:
+		if checkpointed {
 			sum, err = distrib.RunResumable(g, e.ID, dir, campaignRunner(e.ID, workers, remote, cache),
 				campaignChunk(remote), resume, logStderr)
-		case sharded:
+		} else {
+			// Without -shard the spec parsed to 0/1: the whole grid.
 			sum, err = sweep.RunShardWith(g, campaignRunner(e.ID, workers, nil, cache), shardI, shardM)
-		default:
-			sum, err = sweep.RunShardWith(g, campaignRunner(e.ID, workers, nil, cache), 0, 1)
 		}
 		if err != nil {
 			return fmt.Errorf("campaign %s: %w", e.ID, err)
@@ -181,28 +179,12 @@ func attachCampaignRecorder(g *sweep.Grid, recordDir, id string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("create record dir: %w", err)
 	}
-	g.Record = func(c sweep.Cell, d *deploy.Deployment) (func() error, error) {
-		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("cell-%04d.evlog", c.Index)))
-		if err != nil {
-			return nil, fmt.Errorf("create cell event log: %w", err)
-		}
-		w, err := evlog.NewWriter(f, evlog.Header{
+	g.Record = cliutil.CellRecorder(dir, func(c sweep.Cell) evlog.Header {
+		return evlog.Header{
 			Scenario: c.Scenario, Seed: c.Seed, Stations: c.Stations, Probes: c.Probes,
 			Days: c.Days, Fingerprint: fingerprint, Hooks: campaign.HooksName(id),
-		})
-		if err != nil {
-			_ = f.Close()
-			return nil, err
 		}
-		w.Attach(d.Sim)
-		return func() error {
-			werr := w.Close()
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			return werr
-		}, nil
-	}
+	})
 	return nil
 }
 

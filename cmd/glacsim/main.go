@@ -60,7 +60,6 @@ import (
 	"net"
 	"net/url"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -435,34 +434,28 @@ func runSweep(scen string, seed int64, seeds, workers, days, stations, probes in
 		}
 		g.Record = recordCell(recordDir, sweep.Fingerprint(g, plan), start, fixed)
 	}
-	var sum *sweep.Summary
+	var runner sweep.Runner
 	if len(remote) > 0 {
-		runner := &distrib.RemoteRunner{
+		rr := &distrib.RemoteRunner{
 			Workers: remote,
 			Logf:    func(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) },
 		}
 		if apply != nil {
 			// The Apply closure cannot cross the wire; the workers rebuild
 			// it from the same flag values through the registered hook set.
-			runner.Hooks = "glacsim/flags"
-			runner.HookArgs = flagsHookArgs(start, fixed)
+			rr.Hooks = "glacsim/flags"
+			rr.HookArgs = flagsHookArgs(start, fixed)
 		}
-		i, m := 0, 1
-		if sharded {
-			i, m = shardI, shardM
-		}
-		sum, err = sweep.RunShardWith(g, runner, i, m)
+		runner = rr
 	} else {
-		i, m := 0, 1
-		if sharded {
-			i, m = shardI, shardM
-		}
 		lr := sweep.LocalRunner{Workers: workers}
 		if cache != nil {
 			lr.Cache = cache
 		}
-		sum, err = sweep.RunShardWith(g, lr, i, m)
+		runner = lr
 	}
+	// Without -shard the spec parsed to 0/1: the whole grid.
+	sum, err := sweep.RunShardWith(g, runner, shardI, shardM)
 	if err != nil {
 		return err
 	}
@@ -478,32 +471,16 @@ func runSweep(scen string, seed int64, seeds, workers, days, stations, probes in
 	return writeSummary(sum, what, out, outFile)
 }
 
-// recordCell is the Grid.Record hook behind -record-dir: each cell's
-// event log lands in dir as cell-NNNN.evlog, named by global plan index
-// so shard runs recording into a shared directory never collide.
+// recordCell is the Grid.Record hook behind -record-dir: each cell's log
+// header names the cell, the -start/-special-first flags and the plan
+// fingerprint, so the log replays from its header alone.
 func recordCell(dir, fingerprint, start string, fixed bool) func(sweep.Cell, *deploy.Deployment) (func() error, error) {
-	return func(c sweep.Cell, d *deploy.Deployment) (func() error, error) {
-		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("cell-%04d.evlog", c.Index)))
-		if err != nil {
-			return nil, fmt.Errorf("create cell event log: %w", err)
-		}
-		w, err := evlog.NewWriter(f, evlog.Header{
+	return cliutil.CellRecorder(dir, func(c sweep.Cell) evlog.Header {
+		return evlog.Header{
 			Scenario: c.Scenario, Seed: c.Seed, Stations: c.Stations, Probes: c.Probes,
 			Days: c.Days, Start: start, SpecialFirst: fixed, Fingerprint: fingerprint,
-		})
-		if err != nil {
-			_ = f.Close()
-			return nil, err
 		}
-		w.Attach(d.Sim)
-		return func() error {
-			werr := w.Close()
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			return werr
-		}, nil
-	}
+	})
 }
 
 // runReplay re-runs the scenario a recorded log describes and verifies

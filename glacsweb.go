@@ -41,7 +41,6 @@ import (
 	"repro/internal/deploy"
 	"repro/internal/distrib"
 	"repro/internal/energy"
-	"repro/internal/evlog"
 	"repro/internal/power"
 	"repro/internal/probe"
 	"repro/internal/protocol"
@@ -63,8 +62,6 @@ import (
 type (
 	// Deployment is a fully wired simulated field system of any size.
 	Deployment = deploy.Deployment
-	// DeploymentConfig parameterises NewDeployment (classic two-station).
-	DeploymentConfig = deploy.Config
 	// Topology declares a fleet: stations, climate, faults.
 	Topology = deploy.Topology
 	// StationSpec declares one station of a Topology.
@@ -159,9 +156,6 @@ func FleetTopology(seed int64, n, probesPerBase int) Topology {
 	return deploy.FleetTopology(seed, n, probesPerBase)
 }
 
-// RegisterScenario adds a scenario to the package catalogue.
-func RegisterScenario(s Scenario) error { return scenario.Register(s) }
-
 // LookupScenario returns the named scenario.
 func LookupScenario(name string) (Scenario, bool) { return scenario.Lookup(name) }
 
@@ -186,11 +180,11 @@ func BuildScenario(name string, p ScenarioParams) (*Deployment, error) {
 // including every collected series point). Output is byte-identical for
 // any worker count in every encoding.
 //
-// Sweeps also distribute: ShardSweepCells slices a plan deterministically,
-// RunSweepShard executes one shard into a partial summary, WriteJSON /
-// ReadSweepSummary carry partials between processes, and MergeSummaries
-// folds them back — validating grid fingerprints, overlap and coverage —
-// into output byte-identical to a single-process run.
+// Sweeps also distribute: RunSweepShard executes one strided shard of the
+// plan into a partial summary, WriteJSON / ReadSweepSummary carry partials
+// between processes, and MergeSummaries folds them back — validating grid
+// fingerprints, overlap and coverage — into output byte-identical to a
+// single-process run.
 type (
 	// SweepGrid declares a sweep's axes and per-cell hooks.
 	SweepGrid = sweep.Grid
@@ -255,16 +249,11 @@ func RunSweep(g SweepGrid, workers int) (*SweepSummary, error) {
 // list a SweepRunner executes.
 func PlanSweep(g SweepGrid) ([]SweepCell, error) { return sweep.Plan(g) }
 
-// ShardSweepCells returns shard i of m of a plan (cells with global index
-// ≡ i mod m); shards partition the plan.
-func ShardSweepCells(plan []SweepCell, i, m int) ([]SweepCell, error) {
-	return sweep.Shard(plan, i, m)
-}
-
-// RunSweepShard executes only shard i of m of the grid into a partial
-// summary carrying the full plan's fingerprint, ready for MergeSummaries.
+// RunSweepShard executes only shard i of m of the grid (cells with global
+// index ≡ i mod m) into a partial summary carrying the full plan's
+// fingerprint, ready for MergeSummaries.
 func RunSweepShard(g SweepGrid, i, m, workers int) (*SweepSummary, error) {
-	return sweep.RunShard(g, i, m, workers)
+	return sweep.RunShardWith(g, sweep.LocalRunner{Workers: workers}, i, m)
 }
 
 // MergeSummaries folds partial summaries from any number of shards into
@@ -312,62 +301,6 @@ func RunSweepOn(g SweepGrid, r SweepRunner) (*SweepSummary, error) {
 // axis of a SweepGrid.
 func SeedRange(from int64, n int) []int64 { return sweep.SeedRange(from, n) }
 
-// Event record/replay (internal/evlog, DESIGN.md §12): an EventLogWriter
-// attached to a Simulator streams every executed event into a compact,
-// digest-chained log; ReadEventLog decodes and verifies one; ReplayEventLog
-// rebuilds the run from the log's own header and asserts step-for-step
-// equivalence; DiffEventLogs localizes the first divergence between two
-// recorded runs. The glacsim -record/-replay/-evdiff flags front these.
-type (
-	// EventLog is a fully decoded, verified event log.
-	EventLog = evlog.Log
-	// EventLogHeader identifies the run a log records.
-	EventLogHeader = evlog.Header
-	// EventLogWriter records executed events from a Simulator.
-	EventLogWriter = evlog.Writer
-	// EventRecord is one decoded executed-event record.
-	EventRecord = evlog.Record
-	// EventDivergence is the first disagreement between a run and a log.
-	EventDivergence = evlog.Divergence
-	// EventLogDiff is the first disagreement between two logs.
-	EventLogDiff = evlog.DiffResult
-)
-
-// NewEventLogWriter opens an event log on w; attach it to a deployment's
-// Simulator with Attach before the run and Close it after.
-func NewEventLogWriter(w io.Writer, hdr EventLogHeader) (*EventLogWriter, error) {
-	return evlog.NewWriter(w, hdr)
-}
-
-// ReadEventLog decodes and verifies a recorded event log (every record's
-// chain check, the trailer's count and final digest).
-func ReadEventLog(r io.Reader) (*EventLog, error) { return evlog.Read(r) }
-
-// ReplayEventLog rebuilds the run l's header describes, re-executes it and
-// returns the first divergence (nil = step-for-step equivalent).
-func ReplayEventLog(l *EventLog) (*EventDivergence, error) { return evlog.Verify(l) }
-
-// DiffEventLogs compares two logs record-for-record; nil means identical.
-func DiffEventLogs(a, b *EventLog) *EventLogDiff { return evlog.Diff(a, b) }
-
-// NewDeployment wires a complete simulated deployment. Zero-value fields of
-// cfg are filled with the as-deployed defaults (7 probes, September 2008
-// start, Table I/II parameters).
-func NewDeployment(cfg DeploymentConfig) *Deployment {
-	return deploy.New(cfg)
-}
-
-// DefaultDeploymentConfig returns the as-deployed system configuration.
-func DefaultDeploymentConfig(seed int64) DeploymentConfig {
-	return deploy.DefaultConfig(seed)
-}
-
-// DefaultStationConfig returns the as-deployed runtime configuration for a
-// role (use RoleBase or RoleReference).
-func DefaultStationConfig(role station.Role) StationConfig {
-	return station.DefaultConfig(role)
-}
-
 // NewSimulator returns a standalone simulator starting at the given time,
 // for building custom scenarios out of the exported hardware pieces.
 func NewSimulator(seed int64, start time.Time) *Simulator {
@@ -403,21 +336,11 @@ func ApplyOverride(local, override PowerState) PowerState {
 	return power.ApplyOverride(local, override)
 }
 
-// NewSeries returns an empty named time series for hand-recorded traces.
-func NewSeries(name, unit string) *Series { return trace.NewSeries(name, unit) }
-
 // SampleSeries attaches a periodic sampler to a simulator (figures). A
 // baseline sample is recorded at attach time.
 func SampleSeries(sim *Simulator, interval time.Duration, name, unit string,
 	fn func(now time.Time) float64) (*Series, *simenv.Ticker) {
 	return trace.Sample(sim, interval, name, unit, fn)
-}
-
-// SampleSeriesFor is SampleSeries with a known observation horizon: the
-// series is preallocated for horizon/interval samples up front.
-func SampleSeriesFor(sim *Simulator, interval, horizon time.Duration, name, unit string,
-	fn func(now time.Time) float64) (*Series, *simenv.Ticker) {
-	return trace.SampleFor(sim, interval, horizon, name, unit, fn)
 }
 
 // ASCIIChart renders series as a terminal chart.
@@ -444,8 +367,6 @@ type (
 	Manifest = update.Manifest
 	// Battery is a lead-acid bank with the Fig 5 voltage model.
 	Battery = energy.Battery
-	// BatteryConfig parameterises a Battery.
-	BatteryConfig = energy.BatteryConfig
 )
 
 // NewProbeChannel returns the probe radio medium (wx may be nil for a
@@ -488,10 +409,6 @@ func CorruptInTransit(a Artifact, fraction float64, pick func(i int) float64) Ar
 	return update.CorruptInTransit(a, fraction, pick)
 }
 
-// NewBattery constructs a battery bank (zero config = the 36 Ah deployed
-// bank).
-func NewBattery(cfg BatteryConfig) *Battery { return energy.NewBattery(cfg) }
-
 // HashNoise is the deterministic uniform noise used throughout the
 // simulation; exposed for writing reproducible custom scenarios.
 func HashNoise(seed int64, tag string, k uint64) float64 {
@@ -506,10 +423,4 @@ const (
 	RadioPowerW   = comms.RadioPowerW
 	GumstixPowerW = 0.9
 	GPSPowerW     = 3.6
-)
-
-// Verify the facade stays assignable to the things it fronts.
-var (
-	_ = NewDeployment
-	_ = energy.NominalVolts
 )

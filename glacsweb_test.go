@@ -11,7 +11,7 @@ import (
 
 // The facade-level smoke test: the quickstart path works end to end.
 func TestFacadeQuickstart(t *testing.T) {
-	d := repro.NewDeployment(repro.DefaultDeploymentConfig(42))
+	d := repro.MustBuild(repro.AsDeployedTopology(42))
 	volts, _ := repro.SampleSeries(d.Sim, time.Hour, "v", "V",
 		func(time.Time) float64 { return d.Base.Node().Bus.VoltageNow() })
 	if err := d.RunDays(14); err != nil {

@@ -1,15 +1,20 @@
-// Package cliutil is the flag-validation error plumbing cmd/glacsim and
-// cmd/glacreport share: a usage error is a bad flag combination, printed
-// with the tool's usage line and exit code 2, distinct from runtime
-// failures (exit 1).
+// Package cliutil is the flag plumbing cmd/glacsim and cmd/glacreport
+// share: usage errors (a bad flag combination, printed with the tool's
+// usage line and exit code 2, distinct from runtime failures with exit 1),
+// the -remote and -cache parsers, and the -record-dir cell recorder.
 package cliutil
 
 import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
+
+	"repro/internal/deploy"
+	"repro/internal/evlog"
+	"repro/internal/sweep"
 )
 
 // UsageError marks a bad flag combination.
@@ -111,4 +116,31 @@ func ResolveCacheDir(dir string, noCache bool) (string, error) {
 		return dir, nil
 	}
 	return os.Getenv(CacheEnv), nil
+}
+
+// CellRecorder returns the sweep.Grid.Record hook behind the -record-dir
+// flag: each cell's event log lands in dir (which must exist) as
+// cell-NNNN.evlog, named by global plan index so shard runs recording into
+// a shared directory never collide, under the header hdr builds for the
+// cell. The hook's finish func seals the log and closes the file.
+func CellRecorder(dir string, hdr func(sweep.Cell) evlog.Header) func(sweep.Cell, *deploy.Deployment) (func() error, error) {
+	return func(c sweep.Cell, d *deploy.Deployment) (func() error, error) {
+		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("cell-%04d.evlog", c.Index)))
+		if err != nil {
+			return nil, fmt.Errorf("create cell event log: %w", err)
+		}
+		w, err := evlog.NewWriter(f, hdr(c))
+		if err != nil {
+			_ = f.Close()
+			return nil, err
+		}
+		w.Attach(d.Sim)
+		return func() error {
+			werr := w.Close()
+			if cerr := f.Close(); werr == nil {
+				werr = cerr
+			}
+			return werr
+		}, nil
+	}
 }

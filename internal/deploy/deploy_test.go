@@ -9,7 +9,7 @@ import (
 )
 
 func TestThirtyDayDeployment(t *testing.T) {
-	d := New(DefaultConfig(42))
+	d := MustBuild(AsDeployed(42))
 	if err := d.RunDays(30); err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestThirtyDayDeployment(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() (station.Stats, station.Stats, int64) {
-		d := New(DefaultConfig(7))
+		d := MustBuild(AsDeployed(7))
 		if err := d.RunDays(45); err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 
 func TestDifferentSeedsDiverge(t *testing.T) {
 	run := func(seed int64) int64 {
-		d := New(DefaultConfig(seed))
+		d := MustBuild(AsDeployed(seed))
 		if err := d.RunDays(45); err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestDifferentSeedsDiverge(t *testing.T) {
 // The §III behaviour observed in the field: the server's min-rule holds one
 // station down when the other reports a lower state.
 func TestServerMinRuleSynchronisesStations(t *testing.T) {
-	d := New(DefaultConfig(42))
+	d := MustBuild(AsDeployed(42))
 	if err := d.RunDays(90); err != nil { // into December
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestServerMinRuleSynchronisesStations(t *testing.T) {
 // X5: the state sync lag is at most one day: an override uploaded by one
 // station today is seen by the other station today or tomorrow.
 func TestOverrideSyncLagAtMostOneDay(t *testing.T) {
-	d := New(DefaultConfig(42))
+	d := MustBuild(AsDeployed(42))
 	if err := d.RunDays(10); err != nil {
 		t.Fatal(err)
 	}
@@ -112,8 +112,7 @@ func TestOverrideSyncLagAtMostOneDay(t *testing.T) {
 }
 
 func TestWinterReducesActivity(t *testing.T) {
-	cfg := DefaultConfig(11)
-	d := New(cfg)
+	d := MustBuild(AsDeployed(11))
 	if err := d.RunDays(200); err != nil { // Sept 2008 → mid-March 2009
 		t.Fatal(err)
 	}
@@ -133,8 +132,7 @@ func TestWinterReducesActivity(t *testing.T) {
 }
 
 func TestProbeAttritionOverAYear(t *testing.T) {
-	cfg := DefaultConfig(3)
-	d := New(cfg)
+	d := MustBuild(AsDeployed(3))
 	if err := d.RunDays(365); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +152,7 @@ func TestYearLongDeploymentSurvives(t *testing.T) {
 	if testing.Short() {
 		t.Skip("year-long simulation")
 	}
-	d := New(DefaultConfig(42))
+	d := MustBuild(AsDeployed(42))
 	if err := d.RunDays(400); err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +172,10 @@ func TestYearLongDeploymentSurvives(t *testing.T) {
 	}
 }
 
+// A topology that leaves Start zero runs from DefaultStart, and the
+// as-deployed pair carries the paper's seven-probe cohort.
 func TestConfigDefaults(t *testing.T) {
-	d := New(Config{Seed: 9})
+	d := MustBuild(AsDeployed(9))
 	if len(d.Probes) != 7 {
 		t.Fatalf("default probe cohort %d, want 7", len(d.Probes))
 	}

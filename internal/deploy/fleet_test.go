@@ -135,10 +135,10 @@ func TestBuildDefaultNamesAndLookup(t *testing.T) {
 	}
 }
 
-// New(cfg) must stay a thin wrapper over Build: the classic two-station
-// deployment keeps its "base"/"ref" names and cohort.
+// The paper's two-station pair keeps its "base"/"ref" names, cohort and
+// first-station aliases.
 func TestNewIsBuildOfConfigTopology(t *testing.T) {
-	d := New(DefaultConfig(42))
+	d := MustBuild(AsDeployed(42))
 	if got := d.StationNames(); !reflect.DeepEqual(got, []string{"base", "ref"}) {
 		t.Fatalf("compat names %v", got)
 	}

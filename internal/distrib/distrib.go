@@ -3,10 +3,10 @@
 //
 //   - A Worker is an HTTP daemon (glacsim -worker) that accepts shard
 //     requests — a declarative grid spec, the plan fingerprint and the
-//     global indices of the cells to run — executes them with
-//     sweep.RunIndices, and streams the partial summary back as the
-//     WriteJSON wire document. /healthz reports liveness and load, and
-//     concurrent shards are bounded.
+//     global indices of the cells to run — selects them with sweep.CellsAt,
+//     executes them with sweep.RunPlanned, and streams the partial summary
+//     back as the WriteJSON wire document. /healthz reports liveness and
+//     load, and concurrent shards are bounded.
 //   - RemoteRunner implements sweep.Runner by fanning planned cells out
 //     across a pool of workers, verifying every returned fingerprint, and
 //     retrying/requeueing shards from dead or erroring workers under a

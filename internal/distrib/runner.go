@@ -1,6 +1,6 @@
 // RemoteRunner: the client side of the shard wire. It implements
-// sweep.Runner, so the whole local pipeline — Run, RunShardWith, the
-// campaign, RunResumable — distributes by swapping one value: Plan and
+// sweep.Runner, so the whole local pipeline — RunShardWith, RunPlanned,
+// the campaign, RunResumable — distributes by swapping one value: Plan and
 // Reduce stay in the coordinating process, only Execute crosses the
 // network.
 package distrib

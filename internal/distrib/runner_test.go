@@ -80,7 +80,7 @@ func TestRemoteRunnerShardMergesWithLocalShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part1, err := sweep.RunShard(g, 1, 2, 0)
+	part1, err := sweep.RunShardWith(g, sweep.LocalRunner{}, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

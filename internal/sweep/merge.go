@@ -1,6 +1,6 @@
 // The merge: recombining partial summaries produced by shard runs (and
 // carried between processes as WriteJSON documents) into the full-grid
-// summary. Merge validates provenance before it folds — same plan
+// summary. MergeSummaries validates provenance before it folds — same plan
 // fingerprint, no overlapping cells, no missing cells — and the result is
 // byte-identical to a single-process run of the whole grid in every
 // encoding, because it goes through the same Reduce the single-process
@@ -73,9 +73,4 @@ func MergeSummaries(parts ...*Summary) (*Summary, error) {
 	sum.Fingerprint = parts[0].Fingerprint
 	sum.TotalCells = total
 	return sum, nil
-}
-
-// Merge folds the receiver with more partial summaries; see MergeSummaries.
-func (s *Summary) Merge(others ...*Summary) (*Summary, error) {
-	return MergeSummaries(append([]*Summary{s}, others...)...)
 }

@@ -127,7 +127,7 @@ func TestMergeEqualsSingleProcess(t *testing.T) {
 	const m = 3
 	parts := make([]*Summary, m)
 	for i := 0; i < m; i++ {
-		part, err := RunShard(g, i, m, 2)
+		part, err := RunShardWith(g, LocalRunner{Workers: 2}, i, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestMergeEqualsSingleProcess(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	merged, err := parts[0].Merge(parts[1:]...)
+	merged, err := MergeSummaries(parts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestMergeFailureModes(t *testing.T) {
 	g := mergeGrid()
 	shard := func(i, m int) *Summary {
 		t.Helper()
-		part, err := RunShard(g, i, m, 2)
+		part, err := RunShardWith(g, LocalRunner{Workers: 2}, i, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +226,7 @@ func TestMergeFailureModes(t *testing.T) {
 	t.Run("mismatched fingerprints", func(t *testing.T) {
 		other := g
 		other.Seeds = SeedRange(100, 3)
-		o0, err := RunShard(other, 0, 3, 2)
+		o0, err := RunShardWith(other, LocalRunner{Workers: 2}, 0, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +264,7 @@ func TestWireRoundTripByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := RunShard(mergeGrid(), 1, 3, 2)
+	part, err := RunShardWith(mergeGrid(), LocalRunner{Workers: 2}, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,18 +311,29 @@ func TestCellsAt(t *testing.T) {
 	}
 }
 
-// RunIndices of complementary slices must merge back into the
-// single-process summary byte for byte — the resume path's core property.
+// Complementary index slices run on the worker's path (CellsAt +
+// RunPlanned) must merge back into the single-process summary byte for
+// byte — the resume path's core property.
 func TestRunIndicesMergesByteIdentical(t *testing.T) {
 	g := mergeGrid()
 	plan, err := Plan(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := RunIndices(g, []int{0, 2, 4, 6, 8, 10}, 2)
-	if err != nil {
-		t.Fatal(err)
+	fingerprint := Fingerprint(g, plan)
+	runAt := func(indices []int) *Summary {
+		t.Helper()
+		cells, err := CellsAt(plan, indices)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := RunPlanned(g, LocalRunner{Workers: 2}, fingerprint, len(plan), cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sum
 	}
+	first := runAt([]int{0, 2, 4, 6, 8, 10})
 	if first.Complete() {
 		t.Fatal("half the plan reported complete")
 	}
@@ -330,10 +341,7 @@ func TestRunIndicesMergesByteIdentical(t *testing.T) {
 	for i := 1; i < len(plan); i += 2 {
 		rest = append(rest, i)
 	}
-	second, err := RunIndices(g, rest, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	second := runAt(rest)
 	merged, err := MergeSummaries(first, second)
 	if err != nil {
 		t.Fatal(err)
@@ -350,6 +358,6 @@ func TestRunIndicesMergesByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if merged.String() != single.String() || !bytes.Equal(mergedJSON.Bytes(), singleJSON.Bytes()) {
-		t.Error("RunIndices halves did not merge byte-identical to the single-process run")
+		t.Error("index-slice halves did not merge byte-identical to the single-process run")
 	}
 }

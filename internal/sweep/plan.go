@@ -189,9 +189,6 @@ func Plan(g Grid) ([]Cell, error) {
 	return cells, nil
 }
 
-// Cells is Plan as a Grid method, kept for callers of the pre-pipeline API.
-func (g Grid) Cells() ([]Cell, error) { return Plan(g) }
-
 // Shard returns shard i of m of a plan: the cells whose global index is
 // congruent to i mod m. The slice is strided rather than contiguous so that
 // expensive outer-axis values (a long-horizon scenario, a big fleet) spread
@@ -262,7 +259,7 @@ func ParseShardSpec(s string) (i, m int, err error) {
 
 // Fingerprint returns a short stable hash of a plan — every cell's full
 // identity plus the weather axis configurations — recorded on each partial
-// summary so Merge can refuse to fold shards of different grids. It
+// summary so MergeSummaries can refuse to fold shards of different grids. It
 // identifies the declarative cell set; behavioural hooks (Override.Apply,
 // Drive, Observe, Collect) cannot be hashed, so keeping those identical
 // across shard processes is the caller's contract, exactly as it is for

@@ -2,8 +2,8 @@
 // global index order plus per-configuration stats folded across the seed
 // axis. Reduce is shard-agnostic: it folds whatever cells it is given, so
 // the same code produces a full summary from a full run and a partial
-// summary from a shard, and Merge (merge.go) recombines partials through
-// it.
+// summary from a shard, and MergeSummaries (merge.go) recombines partials
+// through it.
 package sweep
 
 import (
@@ -111,12 +111,12 @@ func (gr Group) Stat(name string) (Stats, bool) {
 // Summary is a reduced sweep — full or partial. Cells hold the executed
 // cells in global index order; Groups fold each configuration across the
 // seeds present. Fingerprint and TotalCells identify the full plan the
-// cells came from, so shard summaries can prove to Merge that they belong
-// together; a summary is complete when len(Cells) == TotalCells. Identical
-// for any worker count and, after Merge, any shard split.
+// cells came from, so shard summaries can prove to MergeSummaries that they
+// belong together; a summary is complete when len(Cells) == TotalCells.
+// Identical for any worker count and, after a merge, any shard split.
 type Summary struct {
 	// Fingerprint hashes the full plan (see Fingerprint); empty on
-	// hand-built summaries, which Merge refuses.
+	// hand-built summaries, which MergeSummaries refuses.
 	Fingerprint string
 	// TotalCells is the full plan's cell count, of which this summary
 	// holds len(Cells).
@@ -130,8 +130,8 @@ func (s *Summary) Complete() bool { return s.TotalCells == len(s.Cells) }
 
 // Reduce folds executed cells into a Summary: cells sorted by global
 // index, then per-configuration stats folded in that order so the result
-// is deterministic regardless of execution order. The caller (Run,
-// RunShard, Merge) stamps the plan's Fingerprint and TotalCells on the
+// is deterministic regardless of execution order. The caller (RunPlanned,
+// MergeSummaries) stamps the plan's Fingerprint and TotalCells on the
 // returned summary.
 func Reduce(results []CellResult) *Summary {
 	cells := make([]CellResult, len(results))

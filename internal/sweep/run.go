@@ -1,6 +1,6 @@
 // The executor: a Runner turns planned cells into executed CellResults.
-// LocalRunner is the in-process bounded worker pool; Run and RunShard wire
-// the whole pipeline (Plan -> Runner -> Reduce) for the common cases.
+// LocalRunner is the in-process bounded worker pool; Run and RunShardWith
+// wire the whole pipeline (Plan -> Runner -> Reduce) for the common cases.
 package sweep
 
 import (
@@ -15,8 +15,8 @@ import (
 // Runner executes planned cells. Implementations must preserve the plan's
 // determinism contract: the result for a cell depends only on the grid and
 // the cell, never on scheduling, and results are returned in plan order
-// with their global Cell.Index intact — that index is what lets Merge fold
-// shards executed anywhere back into one summary.
+// with their global Cell.Index intact — that index is what lets
+// MergeSummaries fold shards executed anywhere back into one summary.
 type Runner interface {
 	Run(g Grid, cells []Cell) ([]CellResult, error)
 }
@@ -133,24 +133,19 @@ func (r LocalRunner) runPool(g Grid, cells []Cell, results []CellResult, todo []
 
 // Run executes the full grid locally: Plan, LocalRunner, Reduce. workers
 // <= 0 selects GOMAXPROCS. Run errors only on an invalid grid. It is the
-// one-shard special case of RunShard, so the full-run and shard paths can
-// never drift.
+// one-shard special case of RunShardWith, so the full-run and shard paths
+// can never drift.
 func Run(g Grid, workers int) (*Summary, error) {
-	return RunShard(g, 0, 1, workers)
+	return RunShardWith(g, LocalRunner{Workers: workers}, 0, 1)
 }
 
-// RunShard executes shard i of m of the grid locally and reduces it into a
-// partial Summary: only the shard's cells, with their global indices, plus
-// the full plan's fingerprint and cell count so Merge can validate and
-// recombine it. Encode it with WriteJSON — that document is the shard wire
-// format ReadSummary decodes on the other side.
-func RunShard(g Grid, i, m, workers int) (*Summary, error) {
-	return RunShardWith(g, LocalRunner{Workers: workers}, i, m)
-}
-
-// RunShardWith is RunShard on an arbitrary Runner — the seam a networked
-// runner plugs into: Plan and Reduce stay in this process, only Execute
-// crosses to r (which may fan the cells out over remote workers).
+// RunShardWith executes shard i of m of the grid through r and reduces it
+// into a partial Summary: only the shard's cells, with their global
+// indices, plus the full plan's fingerprint and cell count so
+// MergeSummaries can validate and recombine it. Encode it with WriteJSON —
+// that document is the shard wire format ReadSummary decodes on the other
+// side. Plan and Reduce stay in this process; only Execute crosses to r,
+// which may fan the cells out over remote workers.
 func RunShardWith(g Grid, r Runner, i, m int) (*Summary, error) {
 	plan, err := Plan(g)
 	if err != nil {
@@ -161,23 +156,6 @@ func RunShardWith(g Grid, r Runner, i, m int) (*Summary, error) {
 		return nil, err
 	}
 	return RunPlanned(g, r, Fingerprint(g, plan), len(plan), cells)
-}
-
-// RunIndices executes the cells at the given global plan indices locally
-// and reduces them into a partial Summary — the arbitrary-slice sibling of
-// RunShard that a worker daemon or a resumed campaign (which needs exactly
-// the missing cells, rarely an i/m shard) runs. Indices must be in-range
-// and duplicate-free.
-func RunIndices(g Grid, indices []int, workers int) (*Summary, error) {
-	plan, err := Plan(g)
-	if err != nil {
-		return nil, err
-	}
-	cells, err := CellsAt(plan, indices)
-	if err != nil {
-		return nil, err
-	}
-	return RunPlanned(g, LocalRunner{Workers: workers}, Fingerprint(g, plan), len(plan), cells)
 }
 
 // PlannedRunner is the optional fast path of a Runner whose own execution
