@@ -77,8 +77,7 @@ type campaignManifestItem struct {
 // stopped (-resume). Whatever the path — local, remote, sharded+merged,
 // interrupted+resumed — the final artifacts are byte-identical, because
 // everything refolds through the same reducer.
-func runCampaign(dir string, seed int64, seeds, days, workers, shardI, shardM int,
-	sharded bool, remote []string, resume bool, cache *rescache.DiskCache, recordDir string) error {
+func runCampaign(dir string, seed int64, seeds, days, shardI, shardM int, sharded, resume bool, ex *cliutil.Exec) error {
 	if seeds < 1 {
 		return usageErrorf("-seeds must be >= 1")
 	}
@@ -93,25 +92,26 @@ func runCampaign(dir string, seed int64, seeds, days, workers, shardI, shardM in
 	if sharded {
 		manifest.Shard = fmt.Sprintf("%d/%d", shardI, shardM)
 	}
-	checkpointed := len(remote) > 0 || resume
+	checkpointed := len(ex.Remote) > 0 || resume
 	for _, e := range campaign.Entries() {
 		if days > 0 && e.FixedHorizon {
 			fmt.Fprintf(os.Stderr, "glacreport %s: custom driver fixes its own horizon; -days %d ignored\n", e.ID, days)
 		}
 		g := e.Grid(seed, seeds, days)
-		if recordDir != "" {
-			if err := attachCampaignRecorder(&g, recordDir, e.ID); err != nil {
-				return fmt.Errorf("campaign %s: %w", e.ID, err)
-			}
+		// Campaign cells run under Drive/Observe/Collect hooks that shape
+		// the event stream, so the logs name the hook set: they diff and
+		// byte-compare across runs but refuse header-only replay.
+		if err := ex.Record(&g, e.ID, evlog.Header{Hooks: campaign.HooksName(e.ID)}); err != nil {
+			return fmt.Errorf("campaign %s: %w", e.ID, err)
 		}
+		runner := ex.Runner(campaign.HooksName(e.ID))
 		var sum *sweep.Summary
 		var err error
 		if checkpointed {
-			sum, err = distrib.RunResumable(g, e.ID, dir, campaignRunner(e.ID, workers, remote, cache),
-				campaignChunk(remote), resume, logStderr)
+			sum, err = distrib.RunResumable(g, e.ID, dir, runner, campaignChunk(ex.Remote), resume, cliutil.Logf)
 		} else {
 			// Without -shard the spec parsed to 0/1: the whole grid.
-			sum, err = sweep.RunShardWith(g, campaignRunner(e.ID, workers, nil, cache), shardI, shardM)
+			sum, err = sweep.RunShardWith(g, runner, shardI, shardM)
 		}
 		if err != nil {
 			return fmt.Errorf("campaign %s: %w", e.ID, err)
@@ -122,11 +122,9 @@ func runCampaign(dir string, seed int64, seeds, days, workers, shardI, shardM in
 		}
 		manifest.Experiments = append(manifest.Experiments, item)
 	}
-	if cache != nil {
-		st := cache.Stats()
-		manifest.Cache = &cacheManifest{Dir: cache.Dir(), Stats: st}
-		logStderr("cache %s: %d hits, %d misses, %d stores, %d evictions (%d entries, %d bytes)",
-			cache.Dir(), st.Hits, st.Misses, st.Stores, st.Evictions, cache.Len(), cache.SizeBytes())
+	if ex.Cache != nil {
+		manifest.Cache = &cacheManifest{Dir: ex.Cache.Dir(), Stats: ex.Cache.Stats()}
+		ex.LogCacheStats()
 	}
 	if err := writeManifest(dir, manifest); err != nil {
 		return err
@@ -142,52 +140,6 @@ func runCampaign(dir string, seed int64, seeds, days, workers, shardI, shardM in
 	return nil
 }
 
-// campaignRunner selects the execute stage for one experiment: the distrib
-// worker pool when remote workers are given (with the entry's registered
-// hook set named on every shard request), the in-process pool — consulting
-// the result cache, when one is open — otherwise.
-func campaignRunner(id string, workers int, remote []string, cache *rescache.DiskCache) sweep.Runner {
-	if len(remote) == 0 {
-		lr := sweep.LocalRunner{Workers: workers}
-		if cache != nil {
-			// Guarded so a disabled cache stays a nil interface, not a
-			// typed-nil *DiskCache the runner would call.
-			lr.Cache = cache
-		}
-		return lr
-	}
-	return &distrib.RemoteRunner{
-		Workers: remote,
-		Hooks:   campaign.HooksName(id),
-		Logf:    logStderr,
-	}
-}
-
-// attachCampaignRecorder sets the experiment's Grid.Record hook: each
-// cell's event log lands in recordDir/<exp-id>/cell-NNNN.evlog, named by
-// global plan index. The headers carry the experiment's hook-set name:
-// campaign cells run under Drive/Observe/Collect hooks that shape the
-// event stream, so the logs diff and byte-compare across runs but refuse
-// header-only replay (evlog.Rebuild cannot reconstruct the hooks).
-func attachCampaignRecorder(g *sweep.Grid, recordDir, id string) error {
-	plan, err := sweep.Plan(*g)
-	if err != nil {
-		return err
-	}
-	fingerprint := sweep.Fingerprint(*g, plan)
-	dir := filepath.Join(recordDir, id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("create record dir: %w", err)
-	}
-	g.Record = cliutil.CellRecorder(dir, func(c sweep.Cell) evlog.Header {
-		return evlog.Header{
-			Scenario: c.Scenario, Seed: c.Seed, Stations: c.Stations, Probes: c.Probes,
-			Days: c.Days, Fingerprint: fingerprint, Hooks: campaign.HooksName(id),
-		}
-	})
-	return nil
-}
-
 // campaignChunk sizes the checkpoint granularity. Every chunk costs an
 // fsynced checkpoint and a barrier where the whole pool waits for its
 // slowest shard; every cell in it is work an interruption can lose. A
@@ -200,12 +152,6 @@ func campaignChunk(remote []string) int {
 		return 16 * len(remote)
 	}
 	return 4
-}
-
-// logStderr narrates distrib progress without touching the artifact
-// stream on stdout.
-func logStderr(format string, a ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", a...)
 }
 
 // mergeCampaign folds shard artifact directories into the full campaign:

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cliutil"
 	"repro/internal/rescache"
 )
 
@@ -84,13 +85,13 @@ func TestCampaignWarmCacheIsByteIdenticalAndSimulatesNothing(t *testing.T) {
 	uncached, cold, warm := t.TempDir(), t.TempDir(), t.TempDir()
 	cacheDir, coldRec, warmRec := t.TempDir(), t.TempDir(), t.TempDir()
 
-	if err := runCampaign(uncached, 42, 2, 3, 0, 0, 1, false, nil, false, nil, ""); err != nil {
+	if err := runCampaign(uncached, 42, 2, 3, 0, 1, false, false, &cliutil.Exec{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := runCampaign(cold, 42, 2, 3, 0, 0, 1, false, nil, false, openTestCache(t, cacheDir), coldRec); err != nil {
+	if err := runCampaign(cold, 42, 2, 3, 0, 1, false, false, &cliutil.Exec{Cache: openTestCache(t, cacheDir), RecordDir: coldRec}); err != nil {
 		t.Fatal(err)
 	}
-	if err := runCampaign(warm, 42, 2, 3, 0, 0, 1, false, nil, false, openTestCache(t, cacheDir), warmRec); err != nil {
+	if err := runCampaign(warm, 42, 2, 3, 0, 1, false, false, &cliutil.Exec{Cache: openTestCache(t, cacheDir), RecordDir: warmRec}); err != nil {
 		t.Fatal(err)
 	}
 	assertDirsIdenticalExceptManifest(t, uncached, cold)
@@ -143,7 +144,7 @@ func TestCampaignWarmCacheIsByteIdenticalAndSimulatesNothing(t *testing.T) {
 func TestCampaignSurvivesPoisonedCache(t *testing.T) {
 	ref, got := t.TempDir(), t.TempDir()
 	cacheDir := t.TempDir()
-	if err := runCampaign(ref, 42, 2, 3, 0, 0, 1, false, nil, false, openTestCache(t, cacheDir), ""); err != nil {
+	if err := runCampaign(ref, 42, 2, 3, 0, 1, false, false, &cliutil.Exec{Cache: openTestCache(t, cacheDir)}); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := filepath.Glob(filepath.Join(cacheDir, "v*", "*", "*.cell"))
@@ -163,7 +164,7 @@ func TestCampaignSurvivesPoisonedCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := runCampaign(got, 42, 2, 3, 0, 0, 1, false, nil, false, openTestCache(t, cacheDir), ""); err != nil {
+	if err := runCampaign(got, 42, 2, 3, 0, 1, false, false, &cliutil.Exec{Cache: openTestCache(t, cacheDir)}); err != nil {
 		t.Fatal(err)
 	}
 	assertDirsIdenticalExceptManifest(t, ref, got)

@@ -43,7 +43,8 @@ func TestCampaignModeFlagValidation(t *testing.T) {
 		{"record-dir+cache", "", "", false, "/tmp/c", false, "/tmp/r", map[string]bool{"cache": true, "record-dir": true}},
 	}
 	for _, c := range cases {
-		err := runCampaignMode(t.TempDir(), 1, 1, 0, 0, c.shard, false, c.remote, c.resume, c.cache, c.noCache, 0, c.recDir, c.set, nil)
+		ef := cliutil.ExecFlags{Set: c.set, Remote: c.remote, Cache: c.cache, NoCache: c.noCache, RecordDir: c.recDir}
+		err := runCampaignMode(t.TempDir(), 1, 1, 0, c.shard, false, c.resume, ef, nil)
 		if err == nil {
 			t.Errorf("%s: accepted", c.name)
 			continue

@@ -42,7 +42,6 @@ import (
 	"strings"
 
 	"repro/internal/cliutil"
-	"repro/internal/rescache"
 	"repro/internal/sweep"
 )
 
@@ -88,8 +87,9 @@ func main() {
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	if *campaign {
-		if err := runCampaignMode(*dir, *seed, *seeds, *days, *workers, *shard, *mergeFlag,
-			*remote, *resume, *cacheDir, *noCache, *cacheMB, *recDir, set, flag.Args()); err != nil {
+		ef := cliutil.ExecFlags{Set: set, Workers: *workers, Remote: *remote,
+			Cache: *cacheDir, NoCache: *noCache, CacheMaxMB: *cacheMB, RecordDir: *recDir}
+		if err := runCampaignMode(*dir, *seed, *seeds, *days, *shard, *mergeFlag, *resume, ef, flag.Args()); err != nil {
 			fail("glacreport -campaign", err)
 		}
 		return
@@ -162,9 +162,9 @@ func main() {
 
 // runCampaignMode validates the campaign flag combinations and dispatches
 // to the run, shard-run, remote/resume or merge path.
-func runCampaignMode(dir string, seed int64, seeds, days, workers int,
-	shard string, merge bool, remote string, resume bool,
-	cacheDir string, noCache bool, cacheMB int, recordDir string, set map[string]bool, args []string) error {
+func runCampaignMode(dir string, seed int64, seeds, days int, shard string, merge, resume bool,
+	ef cliutil.ExecFlags, args []string) error {
+	set := ef.Set
 	if merge {
 		if set["shard"] {
 			return usageErrorf("-shard and -merge are exclusive: shards are produced first, merged after")
@@ -183,56 +183,21 @@ func runCampaignMode(dir string, seed int64, seeds, days, workers int,
 	if set["shard"] && (set["remote"] || resume) {
 		return usageErrorf("-shard is exclusive with -remote/-resume: a remote or resumable campaign plans its own slices")
 	}
-	workerList, err := cliutil.ParseWorkerList(remote)
-	if err != nil {
-		return usageErrorf("-remote: %v", err)
-	}
-	if set["workers"] && len(workerList) > 0 {
-		return usageErrorf("-workers sizes the in-process pool; with -remote the workers size their own")
-	}
-	if recordDir != "" {
-		if len(workerList) > 0 {
-			return usageErrorf("-record-dir records local execution; it cannot reach -remote workers")
-		}
-		if resume {
-			return usageErrorf("-record-dir needs every cell simulated; a -resume campaign skips checkpointed cells")
-		}
-		if set["cache"] {
-			return usageErrorf("-record-dir needs every cell simulated; it cannot combine with -cache")
-		}
-		// A cache hit serves a cell without simulating it — no events, no
-		// log — so a recording campaign bypasses the environment cache too.
-		noCache = true
+	if ef.RecordDir != "" && resume {
+		return usageErrorf("-record-dir needs every cell simulated; a -resume campaign skips checkpointed cells")
 	}
 	shardI, shardM, err := sweep.ParseShardSpec(shard)
 	if err != nil {
 		return usageErrorf("-shard: %v", err)
 	}
-	var cache *rescache.DiskCache
-	if len(workerList) > 0 {
-		// The workers consult their own caches (glacsim -worker -cache);
-		// an explicit coordinator-side -cache would silently do nothing.
-		if set["cache"] {
-			return usageErrorf("-cache caches local execution; with -remote give the workers -cache instead")
-		}
-	} else {
-		resolved, err := cliutil.ResolveCacheDir(cacheDir, noCache)
-		if err != nil {
-			return err
-		}
-		if resolved != "" {
-			if cache, err = rescache.Open(resolved, rescache.Options{
-				MaxBytes: int64(cacheMB) << 20,
-				Logf:     logStderr,
-			}); err != nil {
-				return err
-			}
-		}
+	ex, err := cliutil.OpenExec(ef)
+	if err != nil {
+		return err
 	}
 	// set["shard"] rather than shardM > 1: an explicit -shard 0/1 is still
 	// a shard campaign (partial JSON + merge-aware manifest), so scripts
 	// parameterised over the shard count work at m=1 too.
-	return runCampaign(dir, seed, seeds, days, workers, shardI, shardM, set["shard"], workerList, resume, cache, recordDir)
+	return runCampaign(dir, seed, seeds, days, shardI, shardM, set["shard"], resume, ex)
 }
 
 func rule() string { return strings.Repeat("=", 78) }

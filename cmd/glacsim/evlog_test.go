@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/evlog"
 	"repro/internal/scenario"
-	"repro/internal/sweep"
 )
 
 // recordRun produces a recorded event log the way -record does: a real
@@ -85,47 +84,5 @@ func TestRunEvdiff(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "diverge at event ") {
 		t.Fatalf("evdiff error %q does not name the divergent event", err)
-	}
-}
-
-// The -record-dir hook records every cell into its own replayable log,
-// named by global plan index.
-func TestRecordCellHook(t *testing.T) {
-	dir := t.TempDir()
-	g := sweep.Grid{Scenarios: []string{"dual-base"}, Seeds: []int64{1, 2}, Days: 1}
-	plan, err := sweep.Plan(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := sweep.Fingerprint(g, plan)
-	g.Record = recordCell(dir, fp, "", false)
-	sum, err := sweep.Run(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cr := range sum.Cells {
-		if cr.Err != "" {
-			t.Fatalf("cell %d failed: %s", cr.Cell.Index, cr.Err)
-		}
-	}
-	for i := 0; i < 2; i++ {
-		path := filepath.Join(dir, "cell-000"+string(rune('0'+i))+".evlog")
-		l, err := evlog.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if l.Header.Fingerprint != fp {
-			t.Errorf("cell %d: header fingerprint %q, want the plan's %q", i, l.Header.Fingerprint, fp)
-		}
-		if l.Header.Seed != int64(i+1) {
-			t.Errorf("cell %d: header seed %d, want %d", i, l.Header.Seed, i+1)
-		}
-		div, err := evlog.Verify(l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if div != nil {
-			t.Errorf("cell %d: recorded log does not replay: %v", i, div)
-		}
 	}
 }

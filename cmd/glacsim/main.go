@@ -58,7 +58,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/url"
 	"os"
 	"strings"
 	"time"
@@ -68,7 +67,6 @@ import (
 	"repro/internal/deploy"
 	"repro/internal/distrib"
 	"repro/internal/evlog"
-	"repro/internal/rescache"
 	"repro/internal/scenario"
 	"repro/internal/station"
 	"repro/internal/sweep"
@@ -127,6 +125,8 @@ func run() error {
 	flag.Parse()
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	ef := cliutil.ExecFlags{Set: set, Workers: *workers, Remote: *remote,
+		Cache: *cacheDir, NoCache: *noCache, CacheMaxMB: *cacheMB, RecordDir: *recDir}
 
 	switch *out {
 	case "text", "csv", "cells-csv", "groups-csv", "json":
@@ -183,18 +183,14 @@ func run() error {
 		if *listen == "" {
 			return usageErrorf("-worker needs -listen ADDR")
 		}
-		cache, err := openCache(*cacheDir, *noCache, *cacheMB)
+		ex, err := cliutil.OpenExec(ef)
 		if err != nil {
 			return err
 		}
-		return runWorker(*listen, *maxShard, *workers, cache)
+		return runWorker(*listen, *maxShard, ex)
 	}
 	if set["listen"] || set["max-shards"] {
 		return usageErrorf("-listen and -max-shards configure the worker daemon; use them with -worker")
-	}
-	remoteWorkers, err := cliutil.ParseWorkerList(*remote)
-	if err != nil {
-		return usageErrorf("-remote: %v", err)
 	}
 
 	if *list {
@@ -216,34 +212,41 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	params := scenario.Params{Seed: *seed, Stations: *stations, Probes: *probes, Days: *days}
 	if *doSweep {
-		if set["workers"] && len(remoteWorkers) > 0 {
-			return usageErrorf("-workers sizes the in-process pool; with -remote the workers size their own")
-		}
 		if set["record"] {
 			return usageErrorf("-record records single runs; use -record-dir with -sweep")
 		}
-		if *recDir != "" && len(remoteWorkers) > 0 {
-			return usageErrorf("-record-dir records local execution; it cannot reach -remote workers")
+		if *csvPath != "" || *verbose {
+			return usageErrorf("-csv and -v apply to single runs, not -sweep")
 		}
-		var cache *rescache.DiskCache
-		if len(remoteWorkers) > 0 {
-			// The workers consult their own caches (glacsim -worker -cache);
-			// an explicit coordinator-side -cache would silently do nothing.
-			if set["cache"] {
-				return usageErrorf("-cache caches local execution; with -remote give the workers -cache instead")
-			}
-		} else if *recDir != "" {
-			// A cache hit serves a cell without simulating it, so there would
-			// be no events to record; a recording run simulates every cell.
-			if set["cache"] {
-				return usageErrorf("-record-dir needs every cell simulated; it cannot combine with -cache")
-			}
-		} else if cache, err = openCache(*cacheDir, *noCache, *cacheMB); err != nil {
+		if *seeds < 1 {
+			return usageErrorf("-seeds must be >= 1")
+		}
+		g, hooks, err := sweepGrid(*scen, params, *seeds, *start, *fixed)
+		if err != nil {
 			return err
 		}
-		return runSweep(*scen, *seed, *seeds, *workers, *days, *stations, *probes,
-			*start, *fixed, *csvPath, *verbose, shardI, shardM, set["shard"], remoteWorkers, cache, *recDir, *out, *outFile)
+		ex, err := cliutil.OpenExec(ef)
+		if err != nil {
+			return err
+		}
+		if err := ex.Record(&g, "", evlog.Header{Start: *start, SpecialFirst: *fixed}); err != nil {
+			return err
+		}
+		// Without -shard the spec parsed to 0/1: the whole grid. An
+		// explicit -shard 0/1 is still a shard run, so scripts
+		// parameterised over the shard count work at m=1.
+		sum, err := sweep.RunShardWith(g, ex.Runner(hooks), shardI, shardM)
+		if err != nil {
+			return err
+		}
+		ex.LogCacheStats()
+		what := "sweep summary"
+		if set["shard"] {
+			what = fmt.Sprintf("partial summary (shard %d/%d)", shardI, shardM)
+		}
+		return writeSummary(sum, what, *out, *outFile)
 	}
 	if set["shard"] {
 		return usageErrorf("-shard slices sweep grids; use it with -sweep")
@@ -251,7 +254,7 @@ func run() error {
 	if set["record-dir"] {
 		return usageErrorf("-record-dir records sweep cells; use it with -sweep (single runs take -record FILE)")
 	}
-	if len(remoteWorkers) > 0 {
+	if set["remote"] {
 		return usageErrorf("-remote dispatches sweep grids; use it with -sweep")
 	}
 	if set["cache"] || set["no-cache"] || set["cache-max-mb"] {
@@ -269,18 +272,7 @@ func run() error {
 	if !ok {
 		return fmt.Errorf("unknown scenario %q (try -list)", *scen)
 	}
-	params := scenario.Params{Seed: *seed, Stations: *stations, Probes: *probes, Days: *days}
-	horizon := s.Horizon(params)
-	top := s.Topology(params)
-	apply, err := flagOverride(*start, *fixed)
-	if err != nil {
-		return err
-	}
-	if apply != nil {
-		apply(&top)
-	}
-
-	d, err := deploy.Build(top)
+	d, hdr, err := buildRun(s, params, *start, *fixed)
 	if err != nil {
 		return err
 	}
@@ -292,12 +284,7 @@ func run() error {
 			return fmt.Errorf("create event log: %w", err)
 		}
 		defer func() { _ = f.Close() }()
-		// The header carries everything -replay needs to rebuild this run:
-		// the flag surface is exactly the rebuildable surface.
-		rec, err = evlog.NewWriter(f, evlog.Header{
-			Scenario: s.Name, Seed: *seed, Stations: *stations, Probes: *probes,
-			Days: horizon, Start: *start, SpecialFirst: *fixed,
-		})
+		rec, err = evlog.NewWriter(f, hdr)
 		if err != nil {
 			return err
 		}
@@ -320,7 +307,7 @@ func run() error {
 		}
 	}
 
-	if err := d.RunDays(horizon); err != nil {
+	if err := d.RunDays(hdr.Days); err != nil {
 		return err
 	}
 	if rec != nil {
@@ -329,7 +316,7 @@ func run() error {
 		}
 	}
 
-	fmt.Printf("=== scenario %s: %d simulated days ===\n", s.Name, horizon)
+	fmt.Printf("=== scenario %s: %d simulated days ===\n", s.Name, hdr.Days)
 	fmt.Print(d.Result())
 	if rec != nil {
 		fmt.Printf("event log (%d events) written to %s\n", rec.Records(), *record)
@@ -348,6 +335,25 @@ func run() error {
 	return nil
 }
 
+// buildRun wires a single run's deployment, the -start/-special-first
+// override applied, and the event log header describing it: the header
+// carries everything -replay needs to rebuild the run, because the flag
+// surface is exactly the rebuildable surface.
+func buildRun(s scenario.Scenario, p scenario.Params, start string, fixed bool) (*deploy.Deployment, evlog.Header, error) {
+	hdr := evlog.Header{Scenario: s.Name, Seed: p.Seed, Stations: p.Stations, Probes: p.Probes,
+		Days: s.Horizon(p), Start: start, SpecialFirst: fixed}
+	top := s.Topology(p)
+	_, apply, err := scenario.FlagOverride(start, fixed)
+	if err != nil {
+		return nil, hdr, err
+	}
+	if apply != nil {
+		apply(&top)
+	}
+	d, err := deploy.Build(top)
+	return d, hdr, err
+}
+
 // parseShard parses the -shard flag ("i/m"; "" = the whole grid) into a
 // usage error on malformed input.
 func parseShard(s string) (i, m int, err error) {
@@ -358,129 +364,35 @@ func parseShard(s string) (i, m int, err error) {
 	return i, m, nil
 }
 
-// flagOverride turns the -start/-special-first flags into one topology
-// mutation shared by the single-run and sweep paths; nil when neither flag
-// is set.
-func flagOverride(start string, fixed bool) (func(*deploy.Topology), error) {
-	if start == "" && !fixed {
-		return nil, nil
-	}
-	var t0 time.Time
-	if start != "" {
-		var err error
-		if t0, err = time.Parse("2006-01-02", start); err != nil {
-			return nil, fmt.Errorf("bad -start: %w", err)
-		}
-	}
-	return func(top *deploy.Topology) {
-		if !t0.IsZero() {
-			top.Start = t0
-		}
-		if fixed {
-			// Partial runtime overrides merge with the role defaults in Build.
-			for i := range top.Stations {
-				top.Stations[i].Runtime.SpecialFirst = true
-			}
-		}
-	}, nil
-}
+// flagsHookSet names the hook set a remote worker rebuilds the
+// -start/-special-first override from.
+const flagsHookSet = "glacsim/flags"
 
-// runSweep fans the scenario list x seed range out over the sweep engine —
-// the whole grid, or only shard shardI of shardM when -shard was given
-// (0/1 is still a shard run, so scripts parameterised over the shard
-// count work at m=1) — locally or, with -remote, across a worker pool —
-// and writes the summary in the requested encoding.
-func runSweep(scen string, seed int64, seeds, workers, days, stations, probes int,
-	start string, fixed bool, csvPath string, verbose bool,
-	shardI, shardM int, sharded bool, remote []string, cache *rescache.DiskCache, recordDir, out, outFile string) error {
-	if csvPath != "" || verbose {
-		return usageErrorf("-csv and -v apply to single runs, not -sweep")
-	}
-	if seeds < 1 {
-		return usageErrorf("-seeds must be >= 1")
-	}
+// sweepGrid is the grid -sweep runs: the comma-separated scenario list x
+// the seed range from p.Seed, with p's fleet and cohort sizes and horizon,
+// and the -start/-special-first flags as one override on every cell. The
+// hook set names how a remote worker rebuilds that override ("" without
+// one).
+func sweepGrid(scen string, p scenario.Params, seeds int, start string, fixed bool) (g sweep.Grid, hooks string, err error) {
 	var names []string
 	for _, n := range strings.Split(scen, ",") {
 		if n = strings.TrimSpace(n); n != "" {
 			names = append(names, n)
 		}
 	}
-	g := sweep.Grid{Scenarios: names, Seeds: sweep.SeedRange(seed, seeds), Days: days}
-	if stations > 0 {
-		g.Stations = []int{stations}
+	g = sweep.Grid{Scenarios: names, Seeds: sweep.SeedRange(p.Seed, seeds), Days: p.Days}
+	if p.Stations > 0 {
+		g.Stations = []int{p.Stations}
 	}
-	if probes > 0 {
-		g.Probes = []int{probes}
+	if p.Probes > 0 {
+		g.Probes = []int{p.Probes}
 	}
-	// -start and -special-first become one topology override applied to
-	// every cell.
-	apply, err := flagOverride(start, fixed)
-	if err != nil {
-		return err
+	name, apply, err := scenario.FlagOverride(start, fixed)
+	if err != nil || apply == nil {
+		return g, "", err
 	}
-	if apply != nil {
-		g.Overrides = []sweep.Override{{Name: "flags", Apply: apply}}
-	}
-	if recordDir != "" {
-		// Stamp every cell's header with the plan fingerprint, so an
-		// -evdiff across record directories can warn when the logs come
-		// from different grids.
-		plan, err := sweep.Plan(g)
-		if err != nil {
-			return err
-		}
-		if err := os.MkdirAll(recordDir, 0o755); err != nil {
-			return fmt.Errorf("create record dir: %w", err)
-		}
-		g.Record = recordCell(recordDir, sweep.Fingerprint(g, plan), start, fixed)
-	}
-	var runner sweep.Runner
-	if len(remote) > 0 {
-		rr := &distrib.RemoteRunner{
-			Workers: remote,
-			Logf:    func(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) },
-		}
-		if apply != nil {
-			// The Apply closure cannot cross the wire; the workers rebuild
-			// it from the same flag values through the registered hook set.
-			rr.Hooks = "glacsim/flags"
-			rr.HookArgs = flagsHookArgs(start, fixed)
-		}
-		runner = rr
-	} else {
-		lr := sweep.LocalRunner{Workers: workers}
-		if cache != nil {
-			lr.Cache = cache
-		}
-		runner = lr
-	}
-	// Without -shard the spec parsed to 0/1: the whole grid.
-	sum, err := sweep.RunShardWith(g, runner, shardI, shardM)
-	if err != nil {
-		return err
-	}
-	if cache != nil {
-		// Stderr, so the summary on stdout stays byte-identical to an
-		// uncached run.
-		fmt.Fprintln(os.Stderr, cacheStatsLine(cache))
-	}
-	what := "sweep summary"
-	if sharded {
-		what = fmt.Sprintf("partial summary (shard %d/%d)", shardI, shardM)
-	}
-	return writeSummary(sum, what, out, outFile)
-}
-
-// recordCell is the Grid.Record hook behind -record-dir: each cell's log
-// header names the cell, the -start/-special-first flags and the plan
-// fingerprint, so the log replays from its header alone.
-func recordCell(dir, fingerprint, start string, fixed bool) func(sweep.Cell, *deploy.Deployment) (func() error, error) {
-	return cliutil.CellRecorder(dir, func(c sweep.Cell) evlog.Header {
-		return evlog.Header{
-			Scenario: c.Scenario, Seed: c.Seed, Stations: c.Stations, Probes: c.Probes,
-			Days: c.Days, Start: start, SpecialFirst: fixed, Fingerprint: fingerprint,
-		}
-	})
+	g.Overrides = []sweep.Override{{Name: name, Apply: apply}}
+	return g, flagsHookSet, nil
 }
 
 // runReplay re-runs the scenario a recorded log describes and verifies
@@ -522,87 +434,44 @@ func runEvdiff(pathA, pathB string) error {
 	return fmt.Errorf("%s and %s diverge at event %d", pathA, pathB, d.Index)
 }
 
-// openCache opens the result cache the -cache/-no-cache flags select; a
-// nil cache means caching is off.
-func openCache(dir string, noCache bool, maxMB int) (*rescache.DiskCache, error) {
-	resolved, err := cliutil.ResolveCacheDir(dir, noCache)
-	if err != nil || resolved == "" {
-		return nil, err
-	}
-	return rescache.Open(resolved, rescache.Options{
-		MaxBytes: int64(maxMB) << 20,
-		Logf:     func(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) },
-	})
-}
-
-// cacheStatsLine renders the post-run cache-stats line.
-func cacheStatsLine(c *rescache.DiskCache) string {
-	st := c.Stats()
-	return fmt.Sprintf("cache %s: %d hits, %d misses, %d stores, %d evictions (%d entries, %d bytes)",
-		c.Dir(), st.Hits, st.Misses, st.Stores, st.Evictions, c.Len(), c.SizeBytes())
-}
-
 // runWorker serves sweep shards until the process is killed.
-func runWorker(addr string, maxShards, cellWorkers int, cache *rescache.DiskCache) error {
+func runWorker(addr string, maxShards int, ex *cliutil.Exec) error {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("worker: %w", err)
 	}
-	w := &distrib.Worker{
-		MaxShards:   maxShards,
-		CellWorkers: cellWorkers,
-		Logf:        func(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) },
-	}
-	if cache != nil {
-		// The assignment is guarded so a disabled cache stays a nil
-		// interface, not a typed-nil *DiskCache the worker would call.
-		w.Cache = cache
-		fmt.Fprintf(os.Stderr, "glacsim worker: result cache at %s (%d entries)\n", cache.Dir(), cache.Len())
+	if ex.Cache != nil {
+		cliutil.Logf("glacsim worker: result cache at %s (%d entries)", ex.Cache.Dir(), ex.Cache.Len())
 	}
 	// The resolved address on stdout lets scripts use -listen 127.0.0.1:0
 	// and scrape the port.
 	fmt.Printf("glacsim worker listening on %s\n", l.Addr())
-	return distrib.Serve(l, w)
+	return distrib.Serve(l, &distrib.Worker{
+		MaxShards:   maxShards,
+		CellWorkers: ex.Workers,
+		Cache:       ex.ResultCache(),
+		Logf:        cliutil.Logf,
+	})
 }
 
 func init() {
-	distrib.RegisterHooks("glacsim/flags", flagsHooks)
+	distrib.RegisterHooks(flagsHookSet, flagsHooks)
 }
 
-// flagsHooks rebuilds the -start/-special-first topology override on the
-// worker side of the wire; the args string carries the flag values
-// url-encoded (flagsHookArgs).
-func flagsHooks(args string, g *sweep.Grid) error {
-	v, err := url.ParseQuery(args)
-	if err != nil {
-		return fmt.Errorf("bad flag args %q: %w", args, err)
-	}
-	apply, err := flagOverride(v.Get("start"), v.Get("special-first") == "1")
-	if err != nil {
-		return err
-	}
-	if apply == nil {
-		return fmt.Errorf("flag args %q carry no flags", args)
+// flagsHooks reattaches the -start/-special-first override on the worker
+// side of the wire, rebuilt from the override's name.
+func flagsHooks(_ string, g *sweep.Grid) error {
+	if len(g.Overrides) == 0 {
+		return fmt.Errorf("grid carries no flag override")
 	}
 	for i := range g.Overrides {
-		if g.Overrides[i].Name == "flags" {
-			g.Overrides[i].Apply = apply
-			return nil
+		apply, err := scenario.ParseFlagOverride(g.Overrides[i].Name)
+		if err != nil {
+			return err
 		}
+		g.Overrides[i].Apply = apply
 	}
-	return fmt.Errorf("grid has no %q override to reattach the flags to", "flags")
-}
-
-// flagsHookArgs encodes the flag values for the glacsim/flags hook set.
-func flagsHookArgs(start string, fixed bool) string {
-	v := url.Values{}
-	if start != "" {
-		v.Set("start", start)
-	}
-	if fixed {
-		v.Set("special-first", "1")
-	}
-	return v.Encode()
+	return nil
 }
 
 // runMerge folds partial summary files into the full-grid summary.

@@ -49,31 +49,3 @@ func TestMergeZeroFilesIsUsageError(t *testing.T) {
 		t.Fatalf("merge of zero files returned %v, want a usage error", err)
 	}
 }
-
-// The -cache flag surface: off by default, honouring $GLACSWEB_CACHE,
-// -no-cache winning over the environment, and the contradictory explicit
-// pair refused as a usage error.
-func TestOpenCache(t *testing.T) {
-	t.Setenv(cliutil.CacheEnv, "")
-	if c, err := openCache("", false, 0); c != nil || err != nil {
-		t.Fatalf("openCache with nothing set = %v, %v; want no cache", c, err)
-	}
-	dir := t.TempDir()
-	c, err := openCache(dir, false, 0)
-	if err != nil || c == nil {
-		t.Fatalf("openCache(%q) = %v, %v", dir, c, err)
-	}
-	if c.Dir() != dir {
-		t.Fatalf("cache rooted at %q, want %q", c.Dir(), dir)
-	}
-	t.Setenv(cliutil.CacheEnv, dir)
-	if c, err := openCache("", false, 0); err != nil || c == nil || c.Dir() != dir {
-		t.Fatalf("openCache under $%s = %v, %v; want the env cache", cliutil.CacheEnv, c, err)
-	}
-	if c, err := openCache("", true, 0); c != nil || err != nil {
-		t.Fatalf("-no-cache under $%s = %v, %v; want no cache", cliutil.CacheEnv, c, err)
-	}
-	if _, err := openCache(dir, true, 0); err == nil || !cliutil.IsUsage(err) {
-		t.Fatalf("-cache with -no-cache returned %v, want a usage error", err)
-	}
-}

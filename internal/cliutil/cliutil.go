@@ -1,7 +1,9 @@
-// Package cliutil is the flag plumbing cmd/glacsim and cmd/glacreport
-// share: usage errors (a bad flag combination, printed with the tool's
-// usage line and exit code 2, distinct from runtime failures with exit 1),
-// the -remote and -cache parsers, and the -record-dir cell recorder.
+// Package cliutil is the flag plumbing and execution front end cmd/glacsim
+// and cmd/glacreport share: usage errors (a bad flag combination, printed
+// with the tool's usage line and exit code 2, distinct from runtime
+// failures with exit 1), the -remote and -cache parsers, and OpenExec,
+// which turns the execution flags both tools take into a runner, a result
+// cache and a -record-dir recorder.
 package cliutil
 
 import (
@@ -13,7 +15,9 @@ import (
 	"strings"
 
 	"repro/internal/deploy"
+	"repro/internal/distrib"
 	"repro/internal/evlog"
+	"repro/internal/rescache"
 	"repro/internal/sweep"
 )
 
@@ -118,18 +122,146 @@ func ResolveCacheDir(dir string, noCache bool) (string, error) {
 	return os.Getenv(CacheEnv), nil
 }
 
-// CellRecorder returns the sweep.Grid.Record hook behind the -record-dir
-// flag: each cell's event log lands in dir (which must exist) as
-// cell-NNNN.evlog, named by global plan index so shard runs recording into
-// a shared directory never collide, under the header hdr builds for the
-// cell. The hook's finish func seals the log and closes the file.
-func CellRecorder(dir string, hdr func(sweep.Cell) evlog.Header) func(sweep.Cell, *deploy.Deployment) (func() error, error) {
-	return func(c sweep.Cell, d *deploy.Deployment) (func() error, error) {
+// Logf is the tools' one stderr logger: a line per call, so progress
+// and cache narration never touch the artifact stream on stdout.
+func Logf(format string, a ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", a...)
+}
+
+// ExecFlags are the execution flags glacsim -sweep, glacsim -worker and
+// glacreport -campaign share, as parsed.
+type ExecFlags struct {
+	// Set holds the explicitly-set flag names.
+	Set        map[string]bool
+	Workers    int    // -workers
+	Remote     string // -remote
+	Cache      string // -cache
+	NoCache    bool   // -no-cache
+	CacheMaxMB int    // -cache-max-mb
+	RecordDir  string // -record-dir
+}
+
+// Exec is a validated execution setup.
+type Exec struct {
+	// Remote is the -remote worker pool; nil means in-process execution.
+	Remote []string
+	// Cache is the open result cache, nil when caching is off — always
+	// with -remote (the workers keep their own caches) and with
+	// -record-dir (a cache hit would leave a cell unrecorded).
+	Cache *rescache.DiskCache
+	// Workers sizes the in-process pool (0 = GOMAXPROCS).
+	Workers int
+	// RecordDir is the -record-dir root; "" records nothing.
+	RecordDir string
+}
+
+// OpenExec applies the flag rules both tools share and opens the result
+// cache the flags select. A cache flag the run would ignore is a usage
+// error, never silently dropped.
+func OpenExec(f ExecFlags) (*Exec, error) {
+	remote, err := ParseWorkerList(f.Remote)
+	if err != nil {
+		return nil, Usagef("-remote: %v", err)
+	}
+	cacheFlag := "" // the cache flag given, -cache over -cache-max-mb
+	for _, name := range []string{"cache-max-mb", "cache"} {
+		if f.Set[name] {
+			cacheFlag = name
+		}
+	}
+	if len(remote) > 0 {
+		if f.Set["workers"] {
+			return nil, Usagef("-workers sizes the in-process pool; with -remote the workers size their own")
+		}
+		if f.RecordDir != "" {
+			return nil, Usagef("-record-dir records local execution; it cannot reach -remote workers")
+		}
+		if cacheFlag != "" {
+			return nil, Usagef("-%s caches local execution; with -remote give the workers -cache instead", cacheFlag)
+		}
+	}
+	if f.RecordDir != "" && cacheFlag != "" {
+		return nil, Usagef("-record-dir needs every cell simulated; it cannot combine with -%s", cacheFlag)
+	}
+	e := &Exec{Remote: remote, Workers: f.Workers, RecordDir: f.RecordDir}
+	if len(remote) > 0 || f.RecordDir != "" {
+		return e, nil
+	}
+	dir, err := ResolveCacheDir(f.Cache, f.NoCache)
+	if err != nil {
+		return nil, err
+	}
+	if dir == "" {
+		if f.Set["cache-max-mb"] {
+			return nil, Usagef("-cache-max-mb bounds a result cache, and this run opens none (-no-cache, or neither -cache nor $%s)", CacheEnv)
+		}
+		return e, nil
+	}
+	e.Cache, err = rescache.Open(dir, rescache.Options{MaxBytes: int64(f.CacheMaxMB) << 20, Logf: Logf})
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// ResultCache is the cache as a runner or worker takes it: a nil
+// interface when caching is off, never a typed-nil *DiskCache.
+func (e *Exec) ResultCache() sweep.ResultCache {
+	if e.Cache == nil {
+		return nil
+	}
+	return e.Cache
+}
+
+// Runner is the execute stage: the remote pool, with every shard request
+// naming the hook set the workers rebuild the grid's behaviour from, or
+// the in-process pool consulting the cache.
+func (e *Exec) Runner(hooks string) sweep.Runner {
+	if len(e.Remote) > 0 {
+		return &distrib.RemoteRunner{Workers: e.Remote, Hooks: hooks, Logf: Logf}
+	}
+	return sweep.LocalRunner{Workers: e.Workers, Cache: e.ResultCache()}
+}
+
+// LogCacheStats writes the post-run cache-stats line to stderr when a
+// cache is open, so stdout stays byte-identical to an uncached run.
+func (e *Exec) LogCacheStats() {
+	if c := e.Cache; c != nil {
+		st := c.Stats()
+		Logf("cache %s: %d hits, %d misses, %d stores, %d evictions (%d entries, %d bytes)",
+			c.Dir(), st.Hits, st.Misses, st.Stores, st.Evictions, c.Len(), c.SizeBytes())
+	}
+}
+
+// Record sets g's Record hook for -record-dir, and does nothing without
+// it: each cell's event log lands in the record directory's sub
+// directory as cell-NNNN.evlog, named by global plan index so shard runs
+// recording into one directory never collide. A cell's header is run —
+// the fields the cell does not carry: Start, SpecialFirst, Hooks — plus
+// the cell's own identity and the plan fingerprint, so an -evdiff across
+// record directories can tell logs of different grids apart. Call it
+// once g's axes are final.
+func (e *Exec) Record(g *sweep.Grid, sub string, run evlog.Header) error {
+	if e.RecordDir == "" {
+		return nil
+	}
+	plan, err := sweep.Plan(*g)
+	if err != nil {
+		return err
+	}
+	run.Fingerprint = sweep.Fingerprint(*g, plan)
+	dir := filepath.Join(e.RecordDir, sub)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("create record dir: %w", err)
+	}
+	g.Record = func(c sweep.Cell, d *deploy.Deployment) (func() error, error) {
 		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("cell-%04d.evlog", c.Index)))
 		if err != nil {
 			return nil, fmt.Errorf("create cell event log: %w", err)
 		}
-		w, err := evlog.NewWriter(f, hdr(c))
+		h := run
+		h.Scenario, h.Seed, h.Stations, h.Probes, h.Days = c.Scenario, c.Seed, c.Stations, c.Probes, c.Days
+		w, err := evlog.NewWriter(f, h)
 		if err != nil {
 			_ = f.Close()
 			return nil, err
@@ -143,4 +275,5 @@ func CellRecorder(dir string, hdr func(sweep.Cell) evlog.Header) func(sweep.Cell
 			return werr
 		}, nil
 	}
+	return nil
 }

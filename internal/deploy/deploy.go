@@ -41,11 +41,6 @@ type Deployment struct {
 	Base *station.Station
 	// Reference is the first reference station — compatibility alias.
 	Reference *station.Station
-	// Probes is the fleet-wide sub-glacial cohort, in topology order.
-	Probes []*probe.Probe
-	// Channel is the first base station's probe radio medium —
-	// compatibility alias; per-station cells via ProbeChannel.
-	Channel *comms.ProbeChannel
 
 	byName   map[string]*station.Station
 	probesBy map[string][]*probe.Probe

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/power"
+	"repro/internal/probe"
 	"repro/internal/station"
 )
 
@@ -137,7 +138,7 @@ func TestProbeAttritionOverAYear(t *testing.T) {
 		t.Fatal(err)
 	}
 	alive := 0
-	for _, p := range d.Probes {
+	for _, p := range d.StationProbes("base") {
 		if p.Alive(d.Sim.Now()) {
 			alive++
 		}
@@ -172,12 +173,21 @@ func TestYearLongDeploymentSurvives(t *testing.T) {
 	}
 }
 
+// fleetProbes is the fleet-wide sub-glacial cohort, in topology order.
+func fleetProbes(d *Deployment) []*probe.Probe {
+	var cohort []*probe.Probe
+	for _, name := range d.StationNames() {
+		cohort = append(cohort, d.StationProbes(name)...)
+	}
+	return cohort
+}
+
 // A topology that leaves Start zero runs from DefaultStart, and the
 // as-deployed pair carries the paper's seven-probe cohort.
 func TestConfigDefaults(t *testing.T) {
 	d := MustBuild(AsDeployed(9))
-	if len(d.Probes) != 7 {
-		t.Fatalf("default probe cohort %d, want 7", len(d.Probes))
+	if n := len(fleetProbes(d)); n != 7 {
+		t.Fatalf("default probe cohort %d, want 7", n)
 	}
 	if !d.Sim.Now().Equal(DefaultStart) {
 		t.Fatalf("start %v", d.Sim.Now())

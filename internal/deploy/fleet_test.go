@@ -51,7 +51,7 @@ func TestProbeIDsUniqueAcrossFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[int]bool{}
-	for _, p := range d.Probes {
+	for _, p := range fleetProbes(d) {
 		if seen[p.ID()] {
 			t.Fatalf("duplicate probe ID %d across fleet", p.ID())
 		}
@@ -142,10 +142,10 @@ func TestNewIsBuildOfConfigTopology(t *testing.T) {
 	if got := d.StationNames(); !reflect.DeepEqual(got, []string{"base", "ref"}) {
 		t.Fatalf("compat names %v", got)
 	}
-	if len(d.Probes) != 7 || len(d.StationProbes("base")) != 7 || d.StationProbes("ref") != nil {
-		t.Fatalf("compat cohort wrong: %d fleet, %d base", len(d.Probes), len(d.StationProbes("base")))
+	if n := len(fleetProbes(d)); n != 7 || len(d.StationProbes("base")) != 7 || d.StationProbes("ref") != nil {
+		t.Fatalf("compat cohort wrong: %d fleet, %d base", n, len(d.StationProbes("base")))
 	}
-	if d.Channel == nil || d.ProbeChannel("base") != d.Channel || d.ProbeChannel("ref") != nil {
+	if ch := d.ProbeChannel(d.Base.Name()); ch == nil || d.ProbeChannel("base") != ch || d.ProbeChannel("ref") != nil {
 		t.Fatal("compat channel wiring wrong")
 	}
 }

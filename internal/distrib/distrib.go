@@ -34,8 +34,8 @@ import (
 
 // Hooks reattaches behavioural hooks to a grid decoded from the wire. The
 // args string travels verbatim in the shard request, letting one registered
-// hook set cover a small parameter family (e.g. CLI flag values) without a
-// registration per combination.
+// hook set cover a small parameter family without a registration per
+// combination.
 type Hooks func(args string, g *sweep.Grid) error
 
 var (

@@ -83,9 +83,6 @@ func (v *Verifier) observe(name string, at time.Time) {
 	v.next++
 }
 
-// Checked reports how many events have matched so far.
-func (v *Verifier) Checked() int { return v.next }
-
 // Finish returns the first divergence, or nil for a step-for-step
 // equivalent run. Call it after the run completes: a run that ended
 // early (fewer events than the log) only shows up here.
@@ -110,17 +107,12 @@ func Rebuild(h Header) (*deploy.Deployment, int, error) {
 	}
 	p := scenario.Params{Seed: h.Seed, Stations: h.Stations, Probes: h.Probes, Days: h.Days}
 	top := s.Topology(p)
-	if h.Start != "" {
-		t0, err := time.Parse("2006-01-02", h.Start)
-		if err != nil {
-			return nil, 0, fmt.Errorf("evlog: header start date %q: %w", h.Start, err)
-		}
-		top.Start = t0
+	_, apply, err := scenario.FlagOverride(h.Start, h.SpecialFirst)
+	if err != nil {
+		return nil, 0, fmt.Errorf("evlog: header %w", err)
 	}
-	if h.SpecialFirst {
-		for i := range top.Stations {
-			top.Stations[i].Runtime.SpecialFirst = true
-		}
+	if apply != nil {
+		apply(&top)
 	}
 	d, err := deploy.Build(top)
 	if err != nil {

@@ -84,7 +84,6 @@ type Host struct {
 	curApply func(now time.Time)
 
 	onBoot []func(now time.Time)
-	onHalt []func(now time.Time)
 
 	// Bound-once callbacks and interned event names: the hot path schedules
 	// thousands of boots and job completions per simulated season, and
@@ -146,9 +145,6 @@ func (h *Host) QueueLen() int { return len(h.queue) - h.head }
 // OnBoot registers a callback fired each time userland comes up.
 func (h *Host) OnBoot(fn func(now time.Time)) { h.onBoot = append(h.onBoot, fn) }
 
-// OnHalt registers a callback fired each time power is removed.
-func (h *Host) OnHalt(fn func(now time.Time)) { h.onHalt = append(h.onHalt, fn) }
-
 //glacvet:hotpath
 func (h *Host) railChanged(on bool, now time.Time) {
 	if on == h.powered {
@@ -180,9 +176,6 @@ func (h *Host) railChanged(on bool, now time.Time) {
 	}
 	h.queue = h.queue[:0]
 	h.head = 0
-	for _, fn := range h.onHalt {
-		fn(now)
-	}
 }
 
 //glacvet:hotpath

@@ -142,9 +142,6 @@ func (p *Probe) ID() int { return p.cfg.ID }
 // Alive reports whether the probe is still operating at now.
 func (p *Probe) Alive(now time.Time) bool { return now.Before(p.failAt) }
 
-// FailAt returns the probe's permanent-failure time (for experiments).
-func (p *Probe) FailAt() time.Time { return p.failAt }
-
 func (p *Probe) sample(now time.Time) {
 	if !p.Alive(now) {
 		p.ticker.Stop()
@@ -241,9 +238,6 @@ func (p *Probe) MarkComplete(seq uint64) {
 
 // CompletedThrough returns the highest confirmed sequence number.
 func (p *Probe) CompletedThrough() uint64 { return p.completed }
-
-// LastSeq returns the newest recorded sequence number.
-func (p *Probe) LastSeq() uint64 { return p.nextSeq }
 
 // DroppedReadings returns how many readings were lost to buffer overflow.
 func (p *Probe) DroppedReadings() int { return p.dropped }

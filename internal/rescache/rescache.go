@@ -4,8 +4,9 @@
 // fingerprint-verification tests pin — so once a cell has been simulated
 // anywhere, any later campaign over the same plan can reuse it instead of
 // re-simulating. DiskCache is the on-disk store a sweep.LocalRunner and
-// the distrib worker daemon consult; the Cache interface is shaped so a
-// memcache/S3-backed store can slot in behind the same callers later.
+// the distrib worker daemon consult through sweep.ResultCache, the
+// interface a memcache/S3-backed store would implement to slot in behind
+// the same callers.
 //
 // Safety is the headline property, in three layers:
 //
@@ -64,14 +65,6 @@ type Stats struct {
 	Evictions int64 `json:"evictions"`
 }
 
-// Cache is a sweep.ResultCache that also reports its counters — the
-// interface a remote (memcache/S3-shaped) backend implements to slot in
-// where DiskCache does today.
-type Cache interface {
-	sweep.ResultCache
-	Stats() Stats
-}
-
 // Options configures Open.
 type Options struct {
 	// MaxBytes bounds the total payload+header bytes on disk; when a Put
@@ -105,7 +98,7 @@ type entry struct {
 	seq  int64
 }
 
-var _ Cache = (*DiskCache)(nil)
+var _ sweep.ResultCache = (*DiskCache)(nil)
 
 // Open opens (creating if needed) the cache rooted at dir and indexes the
 // current format version's entries; other versions' directories are left
@@ -228,7 +221,7 @@ func (c *DiskCache) Get(fingerprint string, cell sweep.Cell) (sweep.CellResult, 
 	path := c.entryPath(fingerprint, cell.Index)
 	data, err := os.ReadFile(path)
 	if err != nil {
-		c.miss(fingerprint, cell.Index, false)
+		c.miss(fingerprint, cell.Index)
 		return sweep.CellResult{}, false
 	}
 	payload, err := decodeEntry(data)
@@ -247,7 +240,7 @@ func (c *DiskCache) Get(fingerprint string, cell sweep.Cell) (sweep.CellResult, 
 	// re-fills with a verified fresh result, and report a miss.
 	c.logf("rescache: %s: %v — treating as miss and removing the entry", path, err)
 	_ = os.Remove(path)
-	c.miss(fingerprint, cell.Index, true)
+	c.miss(fingerprint, cell.Index)
 	return sweep.CellResult{}, false
 }
 
@@ -270,7 +263,7 @@ func (c *DiskCache) hit(fingerprint string, index int, size int64) {
 
 // miss counts a miss, dropping the index entry when the file was removed
 // (corrupt) or found absent.
-func (c *DiskCache) miss(fingerprint string, index int, removed bool) {
+func (c *DiskCache) miss(fingerprint string, index int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	key := entryKey(fingerprint, index)
@@ -278,7 +271,6 @@ func (c *DiskCache) miss(fingerprint string, index int, removed bool) {
 		c.total -= e.size
 		delete(c.entries, key)
 	}
-	_ = removed
 	c.stats.Misses++
 }
 

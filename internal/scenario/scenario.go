@@ -9,7 +9,9 @@ package scenario
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/deploy"
 )
@@ -123,4 +125,62 @@ func Build(name string, p Params) (*deploy.Deployment, error) {
 		return nil, fmt.Errorf("scenario %q: not registered (have: %v)", name, Names())
 	}
 	return deploy.Build(s.Topology(p))
+}
+
+// FlagOverride is the topology override behind glacsim's -start and
+// -special-first flags, which an event log header records too: start
+// (YYYY-MM-DD, "" keeps the scenario's own) moves t0, and specialFirst
+// applies the §VI special-before-upload fix on every station. The name
+// lists the values that are set, canonically ("start=2008-12-01",
+// "special-first" or both joined by a comma), so a sweep fingerprint —
+// which hashes override names — tells flag sets apart. Neither flag set
+// gives "" and a nil apply.
+func FlagOverride(start string, specialFirst bool) (name string, apply func(*deploy.Topology), err error) {
+	var parts []string
+	var t0 time.Time
+	if start != "" {
+		if t0, err = time.Parse("2006-01-02", start); err != nil {
+			return "", nil, fmt.Errorf("start date %q: %w", start, err)
+		}
+		parts = append(parts, "start="+t0.Format("2006-01-02"))
+	}
+	if specialFirst {
+		parts = append(parts, "special-first")
+	}
+	if len(parts) == 0 {
+		return "", nil, nil
+	}
+	return strings.Join(parts, ","), func(top *deploy.Topology) {
+		if !t0.IsZero() {
+			top.Start = t0
+		}
+		if specialFirst {
+			// Partial runtime overrides merge with the role defaults in Build.
+			for i := range top.Stations {
+				top.Stations[i].Runtime.SpecialFirst = true
+			}
+		}
+	}, nil
+}
+
+// ParseFlagOverride rebuilds a FlagOverride from its name, the way a sweep
+// worker reattaches an override whose Apply cannot cross the wire. Only a
+// canonical name parses.
+func ParseFlagOverride(name string) (func(*deploy.Topology), error) {
+	var start string
+	specialFirst := false
+	for _, part := range strings.Split(name, ",") {
+		if v, ok := strings.CutPrefix(part, "start="); ok {
+			start = v
+		}
+		specialFirst = specialFirst || part == "special-first"
+	}
+	canon, apply, err := FlagOverride(start, specialFirst)
+	if err != nil {
+		return nil, err
+	}
+	if apply == nil || canon != name {
+		return nil, fmt.Errorf("scenario: %q is not a flag override name", name)
+	}
+	return apply, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/deploy"
+	"repro/internal/probe"
 	"repro/internal/station"
 )
 
@@ -126,12 +127,16 @@ func TestFleetNParameterisation(t *testing.T) {
 	if bases != 7 || refs != 1 {
 		t.Fatalf("fleet-N shape: %d bases, %d refs", bases, refs)
 	}
-	if len(d.Probes) != 14 {
-		t.Fatalf("fleet cohort %d probes, want 7 bases x 2", len(d.Probes))
+	var cohort []*probe.Probe
+	for _, name := range d.StationNames() {
+		cohort = append(cohort, d.StationProbes(name)...)
+	}
+	if len(cohort) != 14 {
+		t.Fatalf("fleet cohort %d probes, want 7 bases x 2", len(cohort))
 	}
 	// Fleet-wide probe numbering stays unique.
 	seen := map[int]bool{}
-	for _, p := range d.Probes {
+	for _, p := range cohort {
 		if seen[p.ID()] {
 			t.Fatalf("duplicate probe ID %d across fleet", p.ID())
 		}
@@ -150,5 +155,56 @@ func TestWinterBlackoutFaultsApplied(t *testing.T) {
 	// The café mains is gone: the reference fit keeps only its solar panel.
 	if got := len(d.Reference.Node().Bus.Chargers()); got != 1 {
 		t.Fatalf("blackout reference has %d chargers, want solar only", got)
+	}
+}
+
+// The -start/-special-first override is named by its canonical values,
+// its name parses back into the same mutation, and a bad date is an
+// error naming it.
+func TestFlagOverride(t *testing.T) {
+	if name, apply, err := FlagOverride("", false); name != "" || apply != nil || err != nil {
+		t.Fatalf("no flags = %q, %v, %v; want no override", name, apply != nil, err)
+	}
+	cases := []struct {
+		start string
+		fixed bool
+		name  string
+	}{
+		{"2008-12-01", false, "start=2008-12-01"},
+		{"", true, "special-first"},
+		{"2009-06-01", true, "start=2009-06-01,special-first"},
+	}
+	for _, c := range cases {
+		name, apply, err := FlagOverride(c.start, c.fixed)
+		if err != nil || name != c.name {
+			t.Fatalf("FlagOverride(%q, %v) = %q, %v; want %q", c.start, c.fixed, name, err, c.name)
+		}
+		parsed, err := ParseFlagOverride(name)
+		if err != nil {
+			t.Fatalf("ParseFlagOverride(%q): %v", name, err)
+		}
+		want, got := deploy.AsDeployed(1), deploy.AsDeployed(1)
+		apply(&want)
+		parsed(&got)
+		if !want.Start.Equal(got.Start) || want.Stations[0].Runtime.SpecialFirst != got.Stations[0].Runtime.SpecialFirst {
+			t.Errorf("%s: parsed override mutates differently from the original", name)
+		}
+		if c.start != "" && want.Start.Format("2006-01-02") != c.start {
+			t.Errorf("%s: start %v, want %s", name, want.Start, c.start)
+		}
+		for _, sp := range want.Stations {
+			if sp.Runtime.SpecialFirst != c.fixed {
+				t.Errorf("%s: station %s special-first %v, want %v", name, sp.Name, sp.Runtime.SpecialFirst, c.fixed)
+			}
+		}
+	}
+	for _, bad := range []string{"", "flags", "special-first,start=2008-12-01", "start=2008-12-01,start=2008-12-01",
+		"start=2008-12-1", "start=", "special-first,special-first", "start=2008-12-01,x"} {
+		if _, err := ParseFlagOverride(bad); err == nil {
+			t.Errorf("ParseFlagOverride(%q) accepted a non-canonical name", bad)
+		}
+	}
+	if _, _, err := FlagOverride("2008-13-01", false); err == nil || !strings.Contains(err.Error(), `"2008-13-01"`) {
+		t.Errorf("bad start date error %v does not name the date", err)
 	}
 }

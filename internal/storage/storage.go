@@ -58,14 +58,8 @@ func NewCFCard(capacity int64) *CFCard {
 	return &CFCard{capacity: capacity, files: make(map[string]*StoredFile)}
 }
 
-// Capacity returns the card capacity in bytes.
-func (c *CFCard) Capacity() int64 { return c.capacity }
-
 // Used returns the bytes in use.
 func (c *CFCard) Used() int64 { return c.used }
-
-// Free returns the bytes available.
-func (c *CFCard) Free() int64 { return c.capacity - c.used }
 
 // Write stores a file, replacing any previous version. It fails if the card
 // would overflow.
