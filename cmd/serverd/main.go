@@ -31,17 +31,23 @@ func main() {
 	addr := flag.String("addr", ":8090", "listen address")
 	flag.Parse()
 
-	srv := server.New()
-	h := server.NewHandler(srv)
-
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           h,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
+	httpSrv := newHTTPServer(*addr, server.NewHandler(server.New()))
 	fmt.Printf("serverd: Southampton server listening on %s\n", *addr)
 	if err := httpSrv.ListenAndServe(); err != nil {
 		fmt.Fprintln(os.Stderr, "serverd:", err)
 		os.Exit(1)
+	}
+}
+
+// newHTTPServer wraps h in an http.Server whose timeouts keep a stalled or
+// abandoned client from holding a socket forever: ReadHeaderTimeout bounds
+// how long a connection may take to send its request header, IdleTimeout
+// how long a keep-alive connection may sit between requests.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		IdleTimeout:       2 * time.Minute,
 	}
 }

@@ -12,10 +12,12 @@ import (
 // waiting for the bench trajectory to notice.
 //
 // The same set of functions carries //glacvet:hotpath in simenv.go (At,
-// After, Cancel, Step, pushEvent, popEvent, allocSlot, freeSlot,
-// Ticker.tick, Rand): `make lint` rejects the allocation patterns
+// After, Cancel, Step, enqueue, dequeue, allocSlot, freeSlot, Ticker.tick,
+// Rand, and the eventQueue helpers front, open, close, less, home, find,
+// insert and remove): `make lint` rejects the allocation patterns
 // statically, these pins catch whatever slips past the lint at runtime.
-// Keep the two sets in sync.
+// Keep the two sets in sync. eventQueue.grow is left out on purpose: it
+// allocates, but only when the pending-instant count sets a new high.
 
 func TestScheduleStepAllocFree(t *testing.T) {
 	s := New(1)
@@ -67,6 +69,56 @@ func TestTickerSteadyStateAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("ticker reschedule allocates %.1f objects/op, want 0 (tick closure must be bound once)", avg)
+	}
+}
+
+func TestSharedInstantTickersAllocFree(t *testing.T) {
+	// The fleet's shape: a thousand tickers on one instant. Each Run drains
+	// that instant's bucket, whose events reopen the next instant from the
+	// free list, and a cancelled event sits inside the bucket between live
+	// ones.
+	s := New(1)
+	fn := func(time.Time) {}
+	for i := 0; i < 1000; i++ {
+		s.Every(s.Now().Add(time.Minute), time.Minute, "tk", fn)
+	}
+	step := func() {
+		next := s.Now().Add(time.Minute)
+		s.Cancel(s.At(next, "x", fn))
+		s.At(next, "y", fn)
+		if err := s.Run(next); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		step()
+	}
+	if avg := testing.AllocsPerRun(50, step); avg != 0 {
+		t.Fatalf("a 1000-ticker instant allocates %.1f objects per drain, want 0", avg)
+	}
+	if got, want := s.Processed(), uint64(59*1001); got != want {
+		t.Fatalf("Processed = %d, want %d", got, want)
+	}
+}
+
+func TestDistinctInstantTickersAllocFree(t *testing.T) {
+	// The opposite shape: every event alone on its instant, so each one
+	// opens a bucket and drains it, churning the instant index.
+	s := New(1)
+	fn := func(time.Time) {}
+	for i := 0; i < 1000; i++ {
+		s.Every(s.Now().Add(time.Duration(i+1)*time.Second), 1000*time.Second, "tk", fn)
+	}
+	step := func() {
+		if err := s.RunFor(1000 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		step()
+	}
+	if avg := testing.AllocsPerRun(50, step); avg != 0 {
+		t.Fatalf("1000 single-event instants allocate %.1f objects per round, want 0", avg)
 	}
 }
 

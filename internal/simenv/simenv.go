@@ -7,14 +7,18 @@
 // scheduled on a Simulator, which makes multi-month deployments run in
 // milliseconds and makes every run exactly reproducible from its seed.
 //
-// The event loop is engineered for allocation discipline: events are stored
-// by value in a hand-rolled binary heap (no container/heap interface
-// boxing), event identity lives in a reusable generation-stamped slot table
-// rather than per-event map entries, and tickers reschedule with a closure
-// bound once at construction. Steady-state schedule/execute cycles perform
-// zero heap allocations (pinned by TestScheduleStepAllocFree), which is
-// what lets fleet-scale sweep campaigns run at memory-bandwidth speed
-// instead of garbage-collection speed.
+// The event loop is engineered for allocation discipline and for the
+// fleet's shape, where every station's tickers fire at the same instants.
+// The queue is a hand-rolled min-heap of distinct instants, not of events:
+// each instant owns a FIFO bucket of its events in schedule order, so an
+// event costs a link and an unlink while the heap moves only when an
+// instant first gets an event or drains. Event identity lives in a
+// reusable generation-stamped slot table rather than per-event map
+// entries, and tickers reschedule with a closure bound once at
+// construction. Steady-state schedule/execute cycles perform zero heap
+// allocations (pinned by the tests in alloc_test.go), which is what lets
+// fleet-scale sweep campaigns run at memory-bandwidth speed instead of
+// garbage-collection speed.
 package simenv
 
 import (
@@ -54,81 +58,262 @@ type EventFunc func(now time.Time)
 // can never affect an unrelated event that later reuses the slot.
 type EventID uint64
 
-// event is a heap element: the 24-byte ordering key plus the slot index
-// that holds the event's payload (time, callback, name). The payload lives
-// in the slot table, not the heap, because the sift loops move elements
-// O(log n) times each — at fleet scale, swapping an 80-byte struct with an
-// embedded time.Time was the kernel's single largest compute cost
-// (runtime.duffcopy + time.Time.Before dominated the CPU profile).
-type event struct {
-	// atSec/atNsec are at.Unix()/at.Nanosecond(), precomputed once at
-	// schedule time. Two integer compares are several times cheaper than
-	// time.Time.Equal/Before (which unpack the wall/ext encoding per
-	// call). Unlike UnixNano they cannot overflow, so events centuries
-	// out (exponential probe lifetimes) still order correctly.
-	atSec  int64
-	seq    uint64 // tie-break so same-time events run in schedule order
-	atNsec int32
-	slot   uint32 // index into Simulator.slots holding the payload
+// instKey is an instant as the two integers at.Unix()/at.Nanosecond(),
+// computed once at schedule time. Two integer compares are several times
+// cheaper than time.Time.Equal/Before (which unpack the wall/ext encoding
+// per call), and unlike UnixNano they cannot overflow, so events centuries
+// out (exponential probe lifetimes) still order correctly.
+type instKey struct {
+	sec  int64
+	nsec int32
 }
 
-// eventQueue is a binary min-heap of event keys ordered by (at, seq). The
-// sift routines are hand-rolled instead of using container/heap: the
-// interface-based API would box every pushed event onto the heap, which at
-// fleet scale was the single largest allocation site in the simulator.
-type eventQueue []event
-
-func (q eventQueue) less(i, j int) bool {
-	a, b := &q[i], &q[j]
-	if a.atSec != b.atSec {
-		return a.atSec < b.atSec
-	}
-	if a.atNsec != b.atNsec {
-		return a.atNsec < b.atNsec
-	}
-	return a.seq < b.seq
+func (a instKey) before(b instKey) bool {
+	return a.sec < b.sec || (a.sec == b.sec && a.nsec < b.nsec)
 }
 
+// bucket is the FIFO of one pending instant: the events scheduled for it,
+// in schedule order, as a list linked through eventSlot.next from head to
+// tail. Linking through the slot table rather than giving each bucket its
+// own slice keeps the queue's memory at one small struct per pending
+// instant; per-bucket slices recycled through a free list would each creep
+// up to the largest batch any instant ever held.
+type bucket struct {
+	key        instKey
+	head, tail uint32 // first and last queued slot
+}
+
+// noBucket marks an empty last-bucket cache.
+const noBucket = ^uint32(0)
+
+// eventQueue orders pending events by (instant, schedule order). It is a
+// binary min-heap of distinct instants, each owning a bucket, rather than
+// a heap of events: the fleet's tickers put hundreds of events on every
+// instant, and a per-event heap spent most of its time re-sorting equal
+// timestamps by sequence number. Here an event costs a link onto its
+// bucket's tail and an unlink from a bucket's head; the heap is touched
+// only when an instant gets its first event and when its bucket drains.
+//
+// Schedule order within an instant needs no sequence number: each new
+// event is scheduled after every event already queued, so linking it onto
+// its bucket's tail keeps the bucket in schedule order. That holds for
+// At(now) while the current instant drains and for past times clamped to
+// now, because no queued event lies before now. Drained buckets go on a
+// free list, so a steady-state schedule allocates nothing.
+//
+// The index from instant to bucket is an open-addressing hash table with
+// linear probing, not a Go map: removal shifts the rest of its probe run
+// back instead of leaving a tombstone, so the constant open/drain churn
+// never forces a rehash, and a probe is one multiply and a compare.
+type eventQueue struct {
+	heap    []uint32 // bucket indices, min-heap on their keys
+	buckets []bucket // every bucket ever opened, live or free
+	free    []uint32 // drained buckets ready for reuse
+	index   []uint32 // hash table of live buckets, as index+1; 0 is empty
+	shift   uint     // 64 - log2(len(index))
+	last    uint32   // bucket of the previous enqueue, or noBucket
+	n       int      // queued events, cancelled ones included
+}
+
+func newEventQueue() eventQueue {
+	return eventQueue{index: make([]uint32, 16), shift: 64 - 4, last: noBucket}
+}
+
+// enqueue links slot idx onto the tail of instant k's bucket. Consecutive
+// events for one instant (a batch of tickers rescheduling to the same next
+// tick) hit the last-bucket cache and skip the index.
+//
 //glacvet:hotpath
-func (s *Simulator) pushEvent(ev event) {
-	s.queue = append(s.queue, ev)
-	q := s.queue
-	i := len(q) - 1
-	for i > 0 {
+func (s *Simulator) enqueue(k instKey, idx uint32) {
+	q := &s.queue
+	q.n++
+	b := q.last
+	if b == noBucket || q.buckets[b].key != k {
+		var ok bool
+		if b, ok = q.find(k); !ok {
+			q.last = q.open(k, idx)
+			return
+		}
+		q.last = b
+	}
+	bk := &q.buckets[b]
+	s.slots[bk.tail].next = idx
+	bk.tail = idx
+}
+
+// dequeue unlinks and returns the slot at the head of the earliest
+// instant's bucket. When that drains the bucket, the instant leaves the
+// heap and the index and the bucket goes on the free list.
+//
+//glacvet:hotpath
+func (s *Simulator) dequeue() uint32 {
+	q := &s.queue
+	bi := q.heap[0]
+	b := &q.buckets[bi]
+	idx := b.head
+	q.n--
+	if idx == b.tail {
+		q.close(bi)
+	} else {
+		b.head = s.slots[idx].next
+	}
+	return idx
+}
+
+// front returns the slot at the head of the earliest instant's bucket.
+//
+//glacvet:hotpath
+func (q *eventQueue) front() (uint32, bool) {
+	if len(q.heap) == 0 {
+		return 0, false
+	}
+	return q.buckets[q.heap[0]].head, true
+}
+
+// open gives instant k a bucket holding just slot idx, reusing a drained
+// bucket when it can, and sifts it into the heap.
+//
+//glacvet:hotpath
+func (q *eventQueue) open(k instKey, idx uint32) uint32 {
+	var b uint32
+	if n := len(q.free); n > 0 {
+		b = q.free[n-1]
+		q.free = q.free[:n-1]
+	} else {
+		q.buckets = append(q.buckets, bucket{})
+		b = uint32(len(q.buckets) - 1)
+	}
+	q.buckets[b] = bucket{key: k, head: idx, tail: idx}
+	q.insert(b)
+	q.heap = append(q.heap, b)
+	h := q.heap
+	for i := len(h) - 1; i > 0; {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		if !q.less(h[i], h[parent]) {
 			break
 		}
-		q[i], q[parent] = q[parent], q[i]
+		h[i], h[parent] = h[parent], h[i]
 		i = parent
 	}
+	return b
 }
 
+// close retires the drained bucket bi, which is the heap's root.
+//
 //glacvet:hotpath
-func (s *Simulator) popEvent() event {
-	q := s.queue
-	ev := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	s.queue = q[:n]
-	q = s.queue
-	i := 0
-	for {
+func (q *eventQueue) close(bi uint32) {
+	q.remove(bi)
+	if q.last == bi {
+		q.last = noBucket
+	}
+	q.free = append(q.free, bi)
+	h := q.heap
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	q.heap = h
+	for i := 0; ; {
 		l := 2*i + 1
 		if l >= n {
 			break
 		}
 		m := l
-		if r := l + 1; r < n && q.less(r, l) {
+		if r := l + 1; r < n && q.less(h[r], h[l]) {
 			m = r
 		}
-		if !q.less(m, i) {
+		if !q.less(h[m], h[i]) {
 			break
 		}
-		q[i], q[m] = q[m], q[i]
+		h[i], h[m] = h[m], h[i]
 		i = m
 	}
-	return ev
+}
+
+//glacvet:hotpath
+func (q *eventQueue) less(a, b uint32) bool {
+	return q.buckets[a].key.before(q.buckets[b].key)
+}
+
+// home is the index position where instant k's probe run starts.
+//
+//glacvet:hotpath
+func (q *eventQueue) home(k instKey) int {
+	h := uint64(k.sec)*0x9E3779B97F4A7C15 ^ uint64(uint32(k.nsec))
+	h ^= h >> 29
+	return int(h * 0xBF58476D1CE4E5B9 >> q.shift)
+}
+
+// find returns the live bucket of instant k.
+//
+//glacvet:hotpath
+func (q *eventQueue) find(k instKey) (uint32, bool) {
+	mask := len(q.index) - 1
+	for i := q.home(k); ; i = (i + 1) & mask {
+		e := q.index[i]
+		if e == 0 {
+			return 0, false
+		}
+		if q.buckets[e-1].key == k {
+			return e - 1, true
+		}
+	}
+}
+
+// insert adds live bucket b to the index, doubling the table first if
+// that would fill it past half.
+//
+//glacvet:hotpath
+func (q *eventQueue) insert(b uint32) {
+	if 2*(len(q.heap)+1) > len(q.index) {
+		q.grow()
+	}
+	mask := len(q.index) - 1
+	i := q.home(q.buckets[b].key)
+	for q.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	q.index[i] = b + 1
+}
+
+// remove deletes bucket b from the index. Each later entry of the probe
+// run whose home is not between the hole and itself moves back into the
+// hole, so every entry stays reachable from its home without tombstones.
+//
+//glacvet:hotpath
+func (q *eventQueue) remove(b uint32) {
+	mask := len(q.index) - 1
+	i := q.home(q.buckets[b].key)
+	for q.index[i] != b+1 {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; q.index[j] != 0; j = (j + 1) & mask {
+		h := q.home(q.buckets[q.index[j]-1].key)
+		if i <= j && (h <= i || h > j) || i > j && h <= i && h > j {
+			q.index[i] = q.index[j]
+			i = j
+		}
+	}
+	q.index[i] = 0
+}
+
+// grow doubles the index table and reinserts every live bucket. It runs
+// only when the number of pending instants reaches a new high, so it is
+// the one queue helper outside the zero-alloc steady state.
+func (q *eventQueue) grow() {
+	old := q.index
+	q.index = make([]uint32, 2*len(old))
+	q.shift--
+	mask := len(q.index) - 1
+	for _, e := range old {
+		if e == 0 {
+			continue
+		}
+		i := q.home(q.buckets[e-1].key)
+		for q.index[i] != 0 {
+			i = (i + 1) & mask
+		}
+		q.index[i] = e
+	}
 }
 
 // Slot states for the event identity table. A slot is free until At claims
@@ -141,15 +326,15 @@ const (
 )
 
 // eventSlot carries an event's identity (generation + lifecycle state) and
-// its payload. Payload lives here rather than in the heap so heap elements
-// stay a compact fixed-size key; the fn/name references are dropped the
-// moment the slot is freed so the GC never sees residue from executed
-// events.
+// its payload. The queue holds only slot indices, linked into buckets
+// through next; the fn/name references are dropped the moment the slot is
+// freed so the GC never sees residue from executed events.
 type eventSlot struct {
 	at    time.Time
 	fn    EventFunc
 	name  string
 	gen   uint32
+	next  uint32 // the following slot in the event's bucket, if any
 	state uint8
 }
 
@@ -178,7 +363,6 @@ func (s *Simulator) slotFor(id EventID) *eventSlot {
 type Simulator struct {
 	now       time.Time
 	queue     eventQueue
-	seq       uint64
 	slots     []eventSlot
 	freeSlots []uint32
 	stopped   bool
@@ -199,7 +383,7 @@ func New(seed int64) *Simulator {
 
 // NewAt returns a Simulator whose clock starts at the given time.
 func NewAt(seed int64, start time.Time) *Simulator {
-	return &Simulator{now: start, seed: seed}
+	return &Simulator{now: start, seed: seed, queue: newEventQueue()}
 }
 
 var _ Clock = (*Simulator)(nil)
@@ -215,7 +399,7 @@ func (s *Simulator) Processed() uint64 { return s.processed }
 
 // Pending reports how many events are queued (including cancelled ones that
 // have not yet been skipped).
-func (s *Simulator) Pending() int { return len(s.queue) }
+func (s *Simulator) Pending() int { return s.queue.n }
 
 // Rand returns the deterministic random stream for the given name. Streams
 // are independent: drawing from one never perturbs another, so adding a new
@@ -268,8 +452,8 @@ func (s *Simulator) OnEvent(fn func(name string, at time.Time)) {
 // At schedules fn to run at the given absolute simulated time. Scheduling in
 // the past (or exactly now) runs the event at the current time, after any
 // events already queued for that time. Steady-state scheduling allocates
-// nothing: the event lives by value in the queue and its identity in a
-// recycled slot.
+// nothing: the event lives in a recycled slot, linked onto its instant's
+// bucket.
 //
 //glacvet:hotpath
 func (s *Simulator) At(at time.Time, name string, fn EventFunc) EventID {
@@ -279,18 +463,12 @@ func (s *Simulator) At(at time.Time, name string, fn EventFunc) EventID {
 	if at.Before(s.now) {
 		at = s.now
 	}
-	s.seq++
 	idx, id := s.allocSlot()
 	sl := &s.slots[idx]
 	sl.at = at
 	sl.fn = fn
 	sl.name = name
-	s.pushEvent(event{
-		atSec:  at.Unix(),
-		atNsec: int32(at.Nanosecond()),
-		seq:    s.seq,
-		slot:   idx,
-	})
+	s.enqueue(instKey{at.Unix(), int32(at.Nanosecond())}, idx)
 	return id
 }
 
@@ -371,11 +549,11 @@ func (s *Simulator) Stop() { s.stopped = true }
 //
 //glacvet:hotpath
 func (s *Simulator) Step() bool {
-	for len(s.queue) > 0 {
-		ev := s.popEvent()
-		sl := &s.slots[ev.slot]
+	for len(s.queue.heap) > 0 {
+		idx := s.dequeue()
+		sl := &s.slots[idx]
 		at, fn, name := sl.at, sl.fn, sl.name
-		if s.freeSlot(ev.slot) {
+		if s.freeSlot(idx) {
 			continue
 		}
 		if at.After(s.now) {
@@ -427,17 +605,19 @@ func (s *Simulator) RunFor(d time.Duration) error {
 }
 
 // peek returns the time of the next live event, reaping any cancelled
-// events that have floated to the top of the heap.
+// events that have reached the head of the earliest bucket.
 func (s *Simulator) peek() (time.Time, bool) {
-	for len(s.queue) > 0 {
-		sl := &s.slots[s.queue[0].slot]
-		if sl.state == slotCancelled {
-			s.freeSlot(s.popEvent().slot)
-			continue
+	for {
+		idx, ok := s.queue.front()
+		if !ok {
+			return time.Time{}, false
 		}
-		return sl.at, true
+		sl := &s.slots[idx]
+		if sl.state != slotCancelled {
+			return sl.at, true
+		}
+		s.freeSlot(s.dequeue())
 	}
-	return time.Time{}, false
 }
 
 // Ticker is a repeating event created by Every.

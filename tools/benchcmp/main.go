@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 )
 
@@ -174,6 +175,14 @@ func load(path string) (report, error) {
 	}
 	if err := json.Unmarshal(data, &r); err != nil {
 		return r, fmt.Errorf("%s: %w", path, err)
+	}
+	// go test appends "-GOMAXPROCS" to every name when it exceeds 1; drop
+	// it so snapshots taken on different CPU counts share rows.
+	if r.GOMAXPROCS > 1 {
+		suffix := "-" + strconv.Itoa(r.GOMAXPROCS)
+		for i := range r.Benchmarks {
+			r.Benchmarks[i].Name = strings.TrimSuffix(r.Benchmarks[i].Name, suffix)
+		}
 	}
 	return r, nil
 }

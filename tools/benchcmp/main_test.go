@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -120,5 +122,22 @@ func TestHistoryTable(t *testing.T) {
 	// last/first ratio can be formed against a missing first endpoint.
 	if !strings.Contains(sweep, "-") || strings.Contains(sweep, "x") {
 		t.Fatalf("sweep row must carry a missing-entry dash and no ratio:\n%s", sweep)
+	}
+}
+
+func TestLoadDropsProcsSuffix(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_2.json")
+	data := `{"gomaxprocs": 2, "benchmarks": [
+		{"name": "BenchmarkFleetDay/stations-2-2", "ns_per_op": 1},
+		{"name": "BenchmarkFleetDay/stations-1000-2", "ns_per_op": 2}]}`
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Benchmarks[0].Name + " " + r.Benchmarks[1].Name; got != "BenchmarkFleetDay/stations-2 BenchmarkFleetDay/stations-1000" {
+		t.Fatalf("names %q, want the -2 procs suffix dropped", got)
 	}
 }
