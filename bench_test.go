@@ -291,7 +291,8 @@ func BenchmarkWatchdogBacklogDrainDay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		d := deploy.MustBuild(deploy.AsDeployed(int64(i + 1)))
-		d.Base.Node().GPS.InjectBacklog(252, d.Sim.Now())
+		base, _ := d.Station("base")
+		base.Node().GPS.InjectBacklog(252, d.Sim.Now())
 		b.StartTimer()
 		if err := d.RunDays(1); err != nil {
 			b.Fatal(err)
@@ -320,8 +321,9 @@ func BenchmarkRecoveryCycle(b *testing.B) {
 		top := deploy.AsDeployed(int64(i + 1))
 		top.Start = time.Date(2009, 5, 1, 0, 0, 0, 0, time.UTC)
 		d := deploy.MustBuild(top)
-		d.Base.Node().Battery.SetSoC(0.05)
-		d.Base.Node().Bus.SetLoad("stuck", 30)
+		base, _ := d.Station("base")
+		base.Node().Battery.SetSoC(0.05)
+		base.Node().Bus.SetLoad("stuck", 30)
 		b.StartTimer()
 		if err := d.RunDays(20); err != nil {
 			b.Fatal(err)

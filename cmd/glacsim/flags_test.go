@@ -120,8 +120,8 @@ func TestFlagSweepRemoteMatchesLocal(t *testing.T) {
 func TestFlaggedRecordingsReplay(t *testing.T) {
 	for _, fc := range flagCases {
 		dir := t.TempDir()
-		s, _ := scenario.Lookup("dual-base")
-		d, hdr, err := buildRun(s, scenario.Params{Seed: 42, Days: 3}, fc.start, fc.fixed)
+		hdr := evlog.Header{Scenario: "dual-base", Seed: 42, Days: 3, Start: fc.start, SpecialFirst: fc.fixed}
+		d, days, err := evlog.Rebuild(hdr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestFlaggedRecordingsReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		w.Attach(d.Sim)
-		if err := d.RunDays(hdr.Days); err != nil {
+		if err := d.RunDays(days); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Close(); err != nil {

@@ -59,12 +59,12 @@ import (
 	"io"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	_ "repro/internal/campaign" // register the campaign hook sets in -worker binaries
 	"repro/internal/cliutil"
-	"repro/internal/deploy"
 	"repro/internal/distrib"
 	"repro/internal/evlog"
 	"repro/internal/scenario"
@@ -268,14 +268,15 @@ func run() error {
 		// rebuilt from nothing but the log's header — could never reproduce.
 		return usageErrorf("-record captures replayable runs; it cannot combine with -csv")
 	}
-	s, ok := scenario.Lookup(*scen)
-	if !ok {
-		return fmt.Errorf("unknown scenario %q (try -list)", *scen)
-	}
-	d, hdr, err := buildRun(s, params, *start, *fixed)
+	// The header is the whole description of the run: building from it
+	// makes the log -record writes exactly what -replay rebuilds.
+	hdr := evlog.Header{Scenario: *scen, Seed: params.Seed, Stations: params.Stations,
+		Probes: params.Probes, Days: params.Days, Start: *start, SpecialFirst: *fixed}
+	d, horizon, err := evlog.Rebuild(hdr)
 	if err != nil {
 		return err
 	}
+	hdr.Days = horizon
 
 	var rec *evlog.Writer
 	if *record != "" {
@@ -293,11 +294,13 @@ func run() error {
 
 	var volts *trace.Series
 	if *csvPath != "" {
-		if d.Base == nil {
+		i := slices.IndexFunc(d.Stations, func(st *station.Station) bool { return st.Role() == station.RoleBase })
+		if i < 0 {
 			return fmt.Errorf("-csv needs a base station in the scenario")
 		}
+		base := d.Stations[i]
 		volts, _ = trace.Sample(d.Sim, 10*time.Minute, "base_volts", "V",
-			func(time.Time) float64 { return d.Base.Node().Bus.VoltageNow() })
+			func(time.Time) float64 { return base.Node().Bus.VoltageNow() })
 	}
 
 	if *verbose {
@@ -316,7 +319,7 @@ func run() error {
 		}
 	}
 
-	fmt.Printf("=== scenario %s: %d simulated days ===\n", s.Name, hdr.Days)
+	fmt.Printf("=== scenario %s: %d simulated days ===\n", hdr.Scenario, hdr.Days)
 	fmt.Print(d.Result())
 	if rec != nil {
 		fmt.Printf("event log (%d events) written to %s\n", rec.Records(), *record)
@@ -333,25 +336,6 @@ func run() error {
 		fmt.Printf("voltage trace (%d samples) written to %s\n", volts.Len(), *csvPath)
 	}
 	return nil
-}
-
-// buildRun wires a single run's deployment, the -start/-special-first
-// override applied, and the event log header describing it: the header
-// carries everything -replay needs to rebuild the run, because the flag
-// surface is exactly the rebuildable surface.
-func buildRun(s scenario.Scenario, p scenario.Params, start string, fixed bool) (*deploy.Deployment, evlog.Header, error) {
-	hdr := evlog.Header{Scenario: s.Name, Seed: p.Seed, Stations: p.Stations, Probes: p.Probes,
-		Days: s.Horizon(p), Start: start, SpecialFirst: fixed}
-	top := s.Topology(p)
-	_, apply, err := scenario.FlagOverride(start, fixed)
-	if err != nil {
-		return nil, hdr, err
-	}
-	if apply != nil {
-		apply(&top)
-	}
-	d, err := deploy.Build(top)
-	return d, hdr, err
 }
 
 // parseShard parses the -shard flag ("i/m"; "" = the whole grid) into a

@@ -12,15 +12,15 @@ import (
 	"fmt"
 	"time"
 
-	"repro"
 	"repro/internal/comms"
+	"repro/internal/simenv"
 )
 
 // One state-3 day per station: 12 dGPS files + probe/housekeeping/logs.
 const dayBytes = 12*165*1024 + 80*1024
 
 func main() {
-	sim := repro.NewSimulator(1, time.Date(2009, 3, 1, 0, 0, 0, 0, time.UTC))
+	sim := simenv.NewAt(1, time.Date(2009, 3, 1, 0, 0, 0, 0, time.UTC))
 	radio := comms.NewRadioModem(sim, nil, "base-radio", comms.DefaultRadioModemConfig())
 
 	gprsTransfer := func(n int64) time.Duration {

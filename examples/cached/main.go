@@ -17,7 +17,9 @@ import (
 	"path/filepath"
 	"sync/atomic"
 
-	"repro"
+	"repro/internal/deploy"
+	"repro/internal/rescache"
+	"repro/internal/sweep"
 )
 
 func main() {
@@ -31,25 +33,25 @@ func main() {
 	// it counts the simulations themselves rather than inferring them from
 	// the cache's miss counter.
 	var simulated atomic.Int64
-	grid := repro.SweepGrid{
+	grid := sweep.Grid{
 		Scenarios: []string{"as-deployed-2008", "dual-base"},
-		Seeds:     repro.SeedRange(42, 3),
+		Seeds:     sweep.SeedRange(42, 3),
 		Days:      7,
-		Observe: func(repro.SweepCell, *repro.Deployment) []repro.SweepMetric {
+		Observe: func(sweep.Cell, *deploy.Deployment) []sweep.Metric {
 			simulated.Add(1)
 			return nil
 		},
 	}
 
-	run := func(label string, g repro.SweepGrid) ([]byte, repro.SweepCacheStats, int64) {
+	run := func(label string, g sweep.Grid) ([]byte, rescache.Stats, int64) {
 		// A fresh Open per pass plays the role of a fresh process: only
 		// the files on disk carry state between campaigns.
-		cache, err := repro.OpenResultCache(dir, repro.SweepCacheOptions{})
+		cache, err := rescache.Open(dir, rescache.Options{})
 		if err != nil {
 			panic(err)
 		}
 		before := simulated.Load()
-		sum, err := repro.RunSweepOn(g, repro.SweepLocalRunner{Cache: cache})
+		sum, err := sweep.RunShardWith(g, sweep.LocalRunner{Cache: cache}, 0, 1)
 		if err != nil {
 			panic(err)
 		}
@@ -84,7 +86,7 @@ func main() {
 	// A different grid is a different campaign: entries key on the plan
 	// fingerprint, so none of the cached cells can alias into this one.
 	wider := grid
-	wider.Seeds = repro.SeedRange(42, 5)
+	wider.Seeds = sweep.SeedRange(42, 5)
 	_, widerStats, _ := run("different campaign (5 seeds):", wider)
 	if widerStats.Hits != 0 {
 		fmt.Println("!! a different campaign was served another campaign's cells")

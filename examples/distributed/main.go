@@ -15,13 +15,14 @@ import (
 	"net"
 	"net/http"
 
-	"repro"
+	"repro/internal/distrib"
+	"repro/internal/sweep"
 )
 
 func main() {
-	grid := repro.SweepGrid{
+	grid := sweep.Grid{
 		Scenarios: []string{"as-deployed-2008", "dual-base"},
-		Seeds:     repro.SeedRange(42, 3),
+		Seeds:     sweep.SeedRange(42, 3),
 		Days:      7,
 	}
 
@@ -32,7 +33,7 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		go func() { _ = repro.ServeSweepWorker(l, 2) }()
+		go func() { _ = distrib.Serve(l, &distrib.Worker{MaxShards: 2}) }()
 		addrs = append(addrs, l.Addr().String())
 		fmt.Printf("worker %d listening on %s\n", i, l.Addr())
 	}
@@ -52,14 +53,14 @@ func main() {
 	addrs = append(addrs, liar.Addr().String())
 	fmt.Printf("faulty worker listening on %s (answers for the wrong plan)\n\n", liar.Addr())
 
-	runner := &repro.SweepRemoteRunner{
+	runner := &distrib.RemoteRunner{
 		Workers: addrs,
 		// Generous attempt cap: the liar retires after a few consecutive
 		// failures, and no shard should run out of tries before then.
 		Attempts: 10,
 		Logf:     func(format string, a ...any) { fmt.Printf(format+"\n", a...) },
 	}
-	distributed, err := repro.RunSweepOn(grid, runner)
+	distributed, err := sweep.RunShardWith(grid, runner, 0, 1)
 	if err != nil {
 		panic(err)
 	}
@@ -69,7 +70,7 @@ func main() {
 
 	// Prove the network was free: a single-process run of the same grid
 	// produces the same bytes in every encoding.
-	single, err := repro.RunSweep(grid, 0)
+	single, err := sweep.Run(grid, 0)
 	if err != nil {
 		panic(err)
 	}

@@ -14,7 +14,9 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro"
+	"repro/internal/deploy"
+	"repro/internal/sweep"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -22,20 +24,21 @@ func main() {
 	if len(os.Args) > 1 {
 		dir = os.Args[1]
 	}
-	grid := repro.SweepGrid{
+	grid := sweep.Grid{
 		Scenarios: []string{"fleet-N"},
-		Seeds:     repro.SeedRange(42, 3),
+		Seeds:     sweep.SeedRange(42, 3),
 		Stations:  []int{2, 4},
 		Days:      3,
-		Collect: func(c repro.SweepCell, d *repro.Deployment) []*repro.Series {
+		Collect: func(c sweep.Cell, d *deploy.Deployment) []*trace.Series {
 			// Attached before the run: the series gets a t=0 baseline and
 			// then a sample every 30 simulated minutes.
-			volts, _ := repro.SampleSeries(d.Sim, 30*time.Minute, "base-volts", "V",
-				func(time.Time) float64 { return d.Base.Node().Bus.VoltageNow() })
-			return []*repro.Series{volts}
+			base, _ := d.Station("base-01") // fleet-N's first base station
+			volts, _ := trace.Sample(d.Sim, 30*time.Minute, "base-volts", "V",
+				func(time.Time) float64 { return base.Node().Bus.VoltageNow() })
+			return []*trace.Series{volts}
 		},
 	}
-	sum, err := repro.RunSweep(grid, 4)
+	sum, err := sweep.Run(grid, 4)
 	if err != nil {
 		panic(err)
 	}

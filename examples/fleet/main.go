@@ -9,21 +9,22 @@ package main
 import (
 	"fmt"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/deploy"
 )
 
 func main() {
-	top := repro.FleetTopology(42, 8, 3)
-	top.Faults = []repro.Fault{
-		{Station: "base-01", Kind: repro.FaultBatterySoC, Value: 0.25},
+	top := deploy.FleetTopology(42, 8, 3)
+	top.Faults = []deploy.Fault{
+		{Station: "base-01", Kind: deploy.FaultBatterySoC, Value: 0.25},
 	}
 	// Declarative per-station overrides: base-01 also loses its chargers,
 	// so its low daily averages persist instead of recharging away.
-	hw := repro.BaseNodeConfig("base-01")
+	hw := core.BaseStationConfig("base-01")
 	hw.Chargers = nil
 	top.Stations[0].Hardware = &hw
 
-	d, err := repro.Build(top)
+	d, err := deploy.Build(top)
 	if err != nil {
 		panic(err)
 	}

@@ -15,21 +15,24 @@ import (
 	"fmt"
 	"time"
 
-	"repro"
+	"repro/internal/comms"
+	"repro/internal/probe"
 	"repro/internal/protocol"
+	"repro/internal/simenv"
+	"repro/internal/weather"
 )
 
-func buildScenario(seed int64) (*repro.Simulator, *repro.ProbeChannel, *repro.Probe) {
-	sim := repro.NewSimulator(seed, time.Date(2009, 3, 1, 0, 0, 0, 0, time.UTC))
-	wx := repro.NewWeather(seed)
-	cfg := repro.DefaultProbeConfig(21)
+func buildScenario(seed int64) (*simenv.Simulator, *comms.ProbeChannel, *probe.Probe) {
+	sim := simenv.NewAt(seed, time.Date(2009, 3, 1, 0, 0, 0, 0, time.UTC))
+	wx := weather.New(weather.DefaultConfig(seed))
+	cfg := probe.DefaultConfig(21)
 	cfg.MeanLifetime = 50 * 365 * 24 * time.Hour
-	pr := repro.NewProbe(sim, wx, cfg)
+	pr := probe.New(sim, wx, cfg)
 	// Four months offline: ~3000 hourly readings accumulate.
 	if err := sim.RunFor(125 * 24 * time.Hour); err != nil {
 		panic(err)
 	}
-	return sim, repro.NewProbeChannel(sim, wx), pr
+	return sim, comms.NewProbeChannel(sim, wx, comms.ProbeRadioConfig{}), pr
 }
 
 func main() {
@@ -38,8 +41,8 @@ func main() {
 	fmt.Printf("probe 21 pending: %d readings; summer loss rate %.1f%%\n",
 		pr.PendingCount(), ch.LossRate(sim.Now())*100)
 
-	st := repro.NewFetchState()
-	fetcher := repro.NewNackFetcher()
+	st := protocol.NewState()
+	fetcher := protocol.NewNackFetcher(protocol.DefaultNackConfig())
 	day := 1
 	for ; day <= 10; day++ {
 		res := fetcher.Fetch(sim.Now(), ch, pr, 2*time.Hour, st)
@@ -60,13 +63,13 @@ func main() {
 
 	fmt.Println("\n== post-fix config: limit removed, single session ==")
 	sim2, ch2, pr2 := buildScenario(7)
-	res := repro.NewFixedNackFetcher().Fetch(sim2.Now(), ch2, pr2, 6*time.Hour, nil)
+	res := protocol.NewNackFetcher(protocol.FixedNackConfig()).Fetch(sim2.Now(), ch2, pr2, 6*time.Hour, nil)
 	fmt.Printf("  one session: %d readings, %d nacks, %.1f min on air, complete=%v\n",
 		len(res.Got), res.Nacked, res.Elapsed.Minutes(), res.Complete)
 
 	fmt.Println("\n== baseline: stop-and-wait with per-reading ACKs ==")
 	sim3, ch3, pr3 := buildScenario(7)
-	ack := repro.NewAckFetcher().Fetch(sim3.Now(), ch3, pr3, 6*time.Hour, nil)
+	ack := protocol.NewAckFetcher(protocol.DefaultAckConfig()).Fetch(sim3.Now(), ch3, pr3, 6*time.Hour, nil)
 	fmt.Printf("  one session: %d readings, %.1f min on air, %.2f MB airtime, complete=%v\n",
 		len(ack.Got), ack.Elapsed.Minutes(), float64(ack.AirBytes)/(1<<20), ack.Complete)
 	if res.Elapsed > 0 {

@@ -8,18 +8,20 @@ import (
 	"fmt"
 	"time"
 
-	"repro"
+	"repro/internal/scenario"
+	"repro/internal/trace"
 )
 
 func main() {
-	d, err := repro.BuildScenario("as-deployed-2008", repro.ScenarioParams{Seed: 42})
+	d, err := scenario.Build("as-deployed-2008", scenario.Params{Seed: 42})
 	if err != nil {
 		panic(err)
 	}
 
 	// Record the base station's battery voltage for a quick chart.
-	volts, _ := repro.SampleSeries(d.Sim, 30*time.Minute, "base battery", "V",
-		func(time.Time) float64 { return d.Base.Node().Bus.VoltageNow() })
+	base, _ := d.Station("base")
+	volts, _ := trace.Sample(d.Sim, 30*time.Minute, "base battery", "V",
+		func(time.Time) float64 { return base.Node().Bus.VoltageNow() })
 
 	if err := d.RunDays(60); err != nil {
 		panic(err)
@@ -30,10 +32,10 @@ func main() {
 
 	fmt.Println("\nbase battery voltage, last 4 days (diurnal peak at midday):")
 	last4 := volts.Window(d.Sim.Now().Add(-4*24*time.Hour), d.Sim.Now())
-	fmt.Print(repro.ASCIIChart(72, 10, last4))
+	fmt.Print(trace.ASCIIChart(72, 10, last4))
 
 	fmt.Println("\nother registered scenarios:")
-	for _, s := range repro.ListScenarios() {
+	for _, s := range scenario.List() {
 		fmt.Printf("  %-18s %s\n", s.Name, s.Description)
 	}
 }

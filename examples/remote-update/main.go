@@ -12,24 +12,26 @@ import (
 	"fmt"
 	"time"
 
-	"repro"
+	"repro/internal/server"
+	"repro/internal/simenv"
+	"repro/internal/update"
 )
 
 func main() {
-	srv := repro.NewServer()
-	installer := repro.NewInstaller()
+	srv := server.New()
+	installer := update.NewInstaller()
 	now := time.Date(2009, 10, 1, 12, 0, 0, 0, time.UTC)
 
 	// v1 is on the station already.
-	v1 := repro.Artifact{Name: "probe-fetcher.py", Version: "v1", Payload: []byte("old fetch logic")}
-	if err := installer.Install(v1, repro.ManifestFor(v1), now, nil); err != nil {
+	v1 := update.Artifact{Name: "probe-fetcher.py", Version: "v1", Payload: []byte("old fetch logic")}
+	if err := installer.Install(v1, update.ManifestFor(v1), now, nil); err != nil {
 		panic(err)
 	}
 
 	// Southampton verifies v2 on lab hardware and publishes its manifest.
-	v2 := repro.Artifact{Name: "probe-fetcher.py", Version: "v2",
+	v2 := update.Artifact{Name: "probe-fetcher.py", Version: "v2",
 		Payload: []byte("new fetch logic without the 256-NACK limit")}
-	manifest := repro.ManifestFor(v2)
+	manifest := update.ManifestFor(v2)
 	fmt.Printf("manifest for %s: md5 %s\n\n", manifest.Name, manifest.MD5)
 
 	beacon := func(artifact, sum string) {
@@ -38,8 +40,8 @@ func main() {
 
 	// Day 1: the GPRS transfer corrupts a few bytes.
 	fmt.Println("day 1: transfer corrupted in transit")
-	damaged := repro.CorruptInTransit(v2, 0.15, func(i int) float64 {
-		return repro.HashNoise(1, "corrupt", uint64(i))
+	damaged := update.CorruptInTransit(v2, 0.15, func(i int) float64 {
+		return simenv.HashNoise(1, "corrupt", uint64(i))
 	})
 	if err := installer.Install(damaged, manifest, now, beacon); err != nil {
 		fmt.Println("  install:", err)

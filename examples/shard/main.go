@@ -11,17 +11,17 @@ import (
 	"bytes"
 	"fmt"
 
-	"repro"
+	"repro/internal/sweep"
 )
 
 func main() {
-	grid := repro.SweepGrid{
+	grid := sweep.Grid{
 		Scenarios: []string{"as-deployed-2008", "dual-base"},
-		Seeds:     repro.SeedRange(42, 3),
+		Seeds:     sweep.SeedRange(42, 3),
 		Days:      7,
 	}
 
-	plan, err := repro.PlanSweep(grid)
+	plan, err := sweep.Plan(grid)
 	if err != nil {
 		panic(err)
 	}
@@ -33,7 +33,7 @@ func main() {
 	// grid's results in memory — only the wire documents.
 	wire := make([]bytes.Buffer, shards)
 	for i := 0; i < shards; i++ {
-		part, err := repro.RunSweepShard(grid, i, shards, 0)
+		part, err := sweep.RunShardWith(grid, sweep.LocalRunner{}, i, shards)
 		if err != nil {
 			panic(err)
 		}
@@ -47,13 +47,13 @@ func main() {
 	// Fan in: decode every partial and merge. The merge validates the
 	// shards belong together (same plan fingerprint, no overlap, nothing
 	// missing) before refolding the group stats.
-	parts := make([]*repro.SweepSummary, shards)
+	parts := make([]*sweep.Summary, shards)
 	for i := range wire {
-		if parts[i], err = repro.ReadSweepSummary(&wire[i]); err != nil {
+		if parts[i], err = sweep.ReadSummary(&wire[i]); err != nil {
 			panic(err)
 		}
 	}
-	merged, err := repro.MergeSummaries(parts...)
+	merged, err := sweep.MergeSummaries(parts...)
 	if err != nil {
 		panic(err)
 	}
@@ -62,7 +62,7 @@ func main() {
 
 	// Prove the distribution was free: a single-process run of the same
 	// grid produces the same bytes.
-	single, err := repro.RunSweep(grid, 0)
+	single, err := sweep.Run(grid, 0)
 	if err != nil {
 		panic(err)
 	}

@@ -9,24 +9,25 @@ package main
 import (
 	"fmt"
 
-	"repro"
+	"repro/internal/deploy"
+	"repro/internal/sweep"
 )
 
 func main() {
-	grid := repro.SweepGrid{
+	grid := sweep.Grid{
 		Scenarios: []string{"as-deployed-2008", "dual-base"},
-		Seeds:     repro.SeedRange(42, 4),
+		Seeds:     sweep.SeedRange(42, 4),
 		Days:      21,
-		Overrides: []repro.SweepOverride{
+		Overrides: []sweep.Override{
 			{Name: "nominal"},
-			{Name: "weak-batteries", Apply: func(t *repro.Topology) {
+			{Name: "weak-batteries", Apply: func(t *deploy.Topology) {
 				// Every station is deployed on a quarter-charged bank: low
 				// daily averages, low power states, throttled dGPS uploads.
-				t.Faults = append(t.Faults, repro.Fault{Kind: repro.FaultBatterySoC, Value: 0.25})
+				t.Faults = append(t.Faults, deploy.Fault{Kind: deploy.FaultBatterySoC, Value: 0.25})
 			}},
 		},
 	}
-	sum, err := repro.RunSweep(grid, 4)
+	sum, err := sweep.Run(grid, 4)
 	if err != nil {
 		panic(err)
 	}

@@ -11,18 +11,21 @@ import (
 	"fmt"
 	"time"
 
-	"repro"
+	"repro/internal/scenario"
+	"repro/internal/station"
+	"repro/internal/trace"
 )
 
 func main() {
-	d, err := repro.BuildScenario("as-deployed-2008", repro.ScenarioParams{Seed: 2008})
+	d, err := scenario.Build("as-deployed-2008", scenario.Params{Seed: 2008})
 	if err != nil {
 		panic(err)
 	}
 
 	// Track the base station's adopted power state per day.
+	base, _ := d.Station("base")
 	stateByMonth := map[string][4]int{}
-	d.Base.OnReport(func(r repro.RunReport) {
+	base.OnReport(func(r station.RunReport) {
 		key := r.Date.Format("2006-01")
 		counts := stateByMonth[key]
 		if r.Effective >= 0 && int(r.Effective) < 4 {
@@ -31,8 +34,8 @@ func main() {
 		stateByMonth[key] = counts
 	})
 
-	volts, _ := repro.SampleSeries(d.Sim, time.Hour, "base battery", "V",
-		func(time.Time) float64 { return d.Base.Node().Bus.VoltageNow() })
+	volts, _ := trace.Sample(d.Sim, time.Hour, "base battery", "V",
+		func(time.Time) float64 { return base.Node().Bus.VoltageNow() })
 
 	if err := d.RunDays(365); err != nil {
 		panic(err)
@@ -50,11 +53,11 @@ func main() {
 
 	fmt.Println()
 	fmt.Print(d.Result())
-	fmt.Printf("base power failures: %d\n", d.Base.Node().Bus.FailCount())
+	fmt.Printf("base power failures: %d\n", base.Node().Bus.FailCount())
 
 	fmt.Println("\ndeep-winter voltage (two weeks in January):")
 	jan := volts.Window(
 		time.Date(2009, 1, 10, 0, 0, 0, 0, time.UTC),
 		time.Date(2009, 1, 24, 0, 0, 0, 0, time.UTC))
-	fmt.Print(repro.ASCIIChart(72, 10, jan))
+	fmt.Print(trace.ASCIIChart(72, 10, jan))
 }

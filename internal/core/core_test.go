@@ -57,6 +57,18 @@ func TestNodeSleepDrawIsTiny(t *testing.T) {
 	}
 }
 
+// Table I's device characteristics, as the constants the models use:
+// transfer rates in bps, draws in W.
+func TestTableIConstants(t *testing.T) {
+	if comms.GPRSRateBps != 5000 || comms.RadioRateBps != 2000 {
+		t.Fatal("Table I rates wrong")
+	}
+	if comms.GPRSPowerW != 2.64 || comms.RadioPowerW != 3.96 ||
+		gumstix.PowerW != 0.9 || dgps.PowerW != 3.6 {
+		t.Fatal("Table I powers wrong")
+	}
+}
+
 func TestNodePoweredDayDrawsTableIPower(t *testing.T) {
 	sim := simenv.New(1)
 	n := NewNode(sim, nil, BaseStationConfig("base"))

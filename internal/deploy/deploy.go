@@ -36,11 +36,6 @@ type Deployment struct {
 	Topology Topology
 	// Stations is the fleet, in topology order.
 	Stations []*station.Station
-	// Base is the first base station — compatibility alias for the
-	// paper's two-station wiring.
-	Base *station.Station
-	// Reference is the first reference station — compatibility alias.
-	Reference *station.Station
 
 	byName   map[string]*station.Station
 	probesBy map[string][]*probe.Probe

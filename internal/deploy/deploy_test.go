@@ -9,13 +9,23 @@ import (
 	"repro/internal/station"
 )
 
+// mustStation returns the named station or fails the test.
+func mustStation(t *testing.T, d *Deployment, name string) *station.Station {
+	t.Helper()
+	st, ok := d.Station(name)
+	if !ok {
+		t.Fatalf("no station %q", name)
+	}
+	return st
+}
+
 func TestThirtyDayDeployment(t *testing.T) {
 	d := MustBuild(AsDeployed(42))
 	if err := d.RunDays(30); err != nil {
 		t.Fatal(err)
 	}
-	for name, st := range map[string]*station.Station{"base": d.Base, "ref": d.Reference} {
-		s := st.Stats()
+	for _, name := range []string{"base", "ref"} {
+		s := mustStation(t, d, name).Stats()
 		if s.Runs != 30 {
 			t.Fatalf("%s ran %d days of 30", name, s.Runs)
 		}
@@ -35,7 +45,7 @@ func TestThirtyDayDeployment(t *testing.T) {
 	}
 	// Probe data flowed.
 	got := 0
-	for _, r := range d.Base.Reports() {
+	for _, r := range mustStation(t, d, "base").Reports() {
 		got += r.ProbeReadings
 	}
 	if got < 7*24*25 {
@@ -50,7 +60,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec, _ := d.Server.Station("base")
-		return d.Base.Stats(), d.Reference.Stats(), rec.BytesReceived
+		return mustStation(t, d, "base").Stats(), mustStation(t, d, "ref").Stats(), rec.BytesReceived
 	}
 	b1, r1, n1 := run()
 	b2, r2, n2 := run()
@@ -81,7 +91,7 @@ func TestServerMinRuleSynchronisesStations(t *testing.T) {
 		t.Fatal(err)
 	}
 	held := 0
-	for _, r := range d.Base.Reports() {
+	for _, r := range mustStation(t, d, "base").Reports() {
 		if r.OverrideFetched && r.Override < r.LocalState && r.Effective == r.Override {
 			held++
 		}
@@ -104,11 +114,10 @@ func TestOverrideSyncLagAtMostOneDay(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Within two windows both stations must be running state 1.
-	if d.Base.State() != power.State1 && d.Base.Stats().CommsFailures < 2 {
-		t.Fatalf("base still %v two days after the manual override", d.Base.State())
-	}
-	if d.Reference.State() != power.State1 && d.Reference.Stats().CommsFailures < 2 {
-		t.Fatalf("ref still %v two days after the manual override", d.Reference.State())
+	for _, name := range []string{"base", "ref"} {
+		if st := mustStation(t, d, name); st.State() != power.State1 && st.Stats().CommsFailures < 2 {
+			t.Fatalf("%s still %v two days after the manual override", name, st.State())
+		}
 	}
 }
 
@@ -120,7 +129,7 @@ func TestWinterReducesActivity(t *testing.T) {
 	// At some point in winter a station must have run below state 3: winter
 	// charging cannot hold two stations at full duty.
 	below := 0
-	for _, st := range []*station.Station{d.Base, d.Reference} {
+	for _, st := range d.Stations {
 		for _, r := range st.Reports() {
 			if r.Effective < power.State3 {
 				below++
@@ -158,7 +167,7 @@ func TestYearLongDeploymentSurvives(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The base station must still be cycling daily at the end.
-	reps := d.Base.Reports()
+	reps := mustStation(t, d, "base").Reports()
 	if len(reps) < 300 {
 		t.Fatalf("only %d daily runs in 400 days", len(reps))
 	}

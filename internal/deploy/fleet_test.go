@@ -40,6 +40,28 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
+// A fault names its station: it lands there and nowhere else.
+func TestNamedFaultHitsOnlyItsStation(t *testing.T) {
+	d, err := Build(Topology{
+		Seed:     4,
+		Stations: []StationSpec{BaseSpec("b", 1), ReferenceSpec("r")},
+		Faults:   []Fault{{Station: "b", Kind: FaultBatterySoC, Value: 0.3}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if soc := mustStation(t, d, "b").Node().Battery.SoC(); soc > 0.31 {
+		t.Fatalf("fault not applied: soc %.2f", soc)
+	}
+	r := mustStation(t, d, "r")
+	if soc := r.Node().Battery.SoC(); soc <= 0.31 {
+		t.Fatalf("fault on b also hit r: soc %.2f", soc)
+	}
+	if r.Role() != station.RoleReference {
+		t.Fatalf("r has role %v", r.Role())
+	}
+}
+
 // Auto-numbered probe IDs must never collide with pinned ones: every
 // probe's noise/lifetime stream is keyed on its ID.
 func TestProbeIDsUniqueAcrossFleet(t *testing.T) {
@@ -74,11 +96,12 @@ func TestPartialRuntimeOverrideMerges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	b := mustStation(t, d, "b")
 	// The deployed defaults survived the partial override: the station
 	// starts in state 2 (DefaultConfig), not the zero-value state 0
 	// (which would also disable its comms entirely).
-	if d.Base.State() != power.State2 {
-		t.Fatalf("partial override lost defaults: initial state %v", d.Base.State())
+	if b.State() != power.State2 {
+		t.Fatalf("partial override lost defaults: initial state %v", b.State())
 	}
 	// And the override itself took effect: the special-first early comms
 	// session runs, so a queued special executes even though the §VI
@@ -87,7 +110,7 @@ func TestPartialRuntimeOverrideMerges(t *testing.T) {
 	if err := d.RunDays(1); err != nil {
 		t.Fatal(err)
 	}
-	if d.Base.Stats().SpecialsExecuted != 1 {
+	if b.Stats().SpecialsExecuted != 1 {
 		t.Fatalf("special not executed under merged runtime")
 	}
 }
@@ -103,8 +126,8 @@ func TestExplicitRuntimeKeepsState0(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Base.State() != power.State0 {
-		t.Fatalf("explicit State0 overridden to %v", d.Base.State())
+	if st := mustStation(t, d, "b").State(); st != power.State0 {
+		t.Fatalf("explicit State0 overridden to %v", st)
 	}
 }
 
@@ -130,13 +153,10 @@ func TestBuildDefaultNamesAndLookup(t *testing.T) {
 	if _, ok := d.Station("ghost"); ok {
 		t.Fatal("lookup of unknown station succeeded")
 	}
-	if d.Base == nil || d.Base.Name() != "base" || d.Reference == nil || d.Reference.Name() != "ref" {
-		t.Fatal("compatibility aliases not set")
-	}
 }
 
 // The paper's two-station pair keeps its "base"/"ref" names, cohort and
-// first-station aliases.
+// radio cell.
 func TestNewIsBuildOfConfigTopology(t *testing.T) {
 	d := MustBuild(AsDeployed(42))
 	if got := d.StationNames(); !reflect.DeepEqual(got, []string{"base", "ref"}) {
@@ -145,7 +165,7 @@ func TestNewIsBuildOfConfigTopology(t *testing.T) {
 	if n := len(fleetProbes(d)); n != 7 || len(d.StationProbes("base")) != 7 || d.StationProbes("ref") != nil {
 		t.Fatalf("compat cohort wrong: %d fleet, %d base", n, len(d.StationProbes("base")))
 	}
-	if ch := d.ProbeChannel(d.Base.Name()); ch == nil || d.ProbeChannel("base") != ch || d.ProbeChannel("ref") != nil {
+	if d.ProbeChannel("base") == nil || d.ProbeChannel("ref") != nil {
 		t.Fatal("compat channel wiring wrong")
 	}
 }

@@ -296,12 +296,6 @@ func Build(t Topology) (*Deployment, error) {
 		if channel != nil {
 			d.channels[sp.Name] = channel
 		}
-		if sp.Role == station.RoleBase && d.Base == nil {
-			d.Base = st
-		}
-		if sp.Role == station.RoleReference && d.Reference == nil {
-			d.Reference = st
-		}
 	}
 	return d, nil
 }

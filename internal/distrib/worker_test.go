@@ -452,3 +452,36 @@ func TestServeClosesHeaderlessConnection(t *testing.T) {
 		t.Fatalf("read on a header-less connection: %v, want the worker to close it (EOF)", err)
 	}
 }
+
+// A RemoteRunner sweeping through a worker that Serve runs on a real
+// listener, as glacsim -worker does, matches the local run, and the
+// per-configuration seed fold survives the wire.
+func TestServeRunsRemoteSweep(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- Serve(l, &Worker{MaxShards: 2}) }()
+	defer func() {
+		_ = l.Close()
+		<-served
+	}()
+
+	g := sweep.Grid{Scenarios: []string{"as-deployed-2008"}, Seeds: sweep.SeedRange(9, 2), Days: 2}
+	remote, err := sweep.RunShardWith(g, &RemoteRunner{Workers: []string{l.Addr().String()}}, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := sweep.Run(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !remote.Complete() || remote.String() != local.String() {
+		t.Fatal("remote sweep differs from the local run")
+	}
+	st, ok := remote.Groups[0].Stat("runs")
+	if !ok || st.N != 2 || st.CI95 < 0 {
+		t.Fatalf("runs stat folded oddly: ok=%v %+v", ok, st)
+	}
+}

@@ -74,14 +74,14 @@ func TestRegisterAndBuildCustom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Stations) != 1 || d.Base == nil || d.Reference != nil {
+	if len(d.Stations) != 1 || d.Stations[0].Role() != station.RoleBase {
 		t.Fatalf("solo build wrong: %d stations", len(d.Stations))
 	}
 	if err := d.RunDays(2); err != nil {
 		t.Fatal(err)
 	}
-	if d.Base.Stats().Runs != 2 {
-		t.Fatalf("solo base ran %d days", d.Base.Stats().Runs)
+	if runs := d.Stations[0].Stats().Runs; runs != 2 {
+		t.Fatalf("solo base ran %d days", runs)
 	}
 }
 
@@ -144,16 +144,33 @@ func TestFleetNParameterisation(t *testing.T) {
 	}
 }
 
+// A fleet built by scenario name rolls its stations' days up into one
+// fleet result: 3 stations over 2 days is 3 stations and 6 runs.
+func TestFleetNResultRollUp(t *testing.T) {
+	d, err := Build("fleet-N", Params{Seed: 1, Stations: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RunDays(2); err != nil {
+		t.Fatal(err)
+	}
+	if res := d.Result(); res.Fleet.Stations != 3 || res.Fleet.Runs != 6 {
+		t.Fatalf("fleet roll-up: %d stations, %d runs, want 3 and 6", res.Fleet.Stations, res.Fleet.Runs)
+	}
+}
+
 func TestWinterBlackoutFaultsApplied(t *testing.T) {
 	d, err := Build("winter-blackout", Params{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if soc := d.Base.Node().Battery.SoC(); soc > 0.51 {
+	base, _ := d.Station("base")
+	ref, _ := d.Station("ref")
+	if soc := base.Node().Battery.SoC(); soc > 0.51 {
 		t.Fatalf("blackout base starts at soc %.2f, want 0.5", soc)
 	}
 	// The café mains is gone: the reference fit keeps only its solar panel.
-	if got := len(d.Reference.Node().Bus.Chargers()); got != 1 {
+	if got := len(ref.Node().Bus.Chargers()); got != 1 {
 		t.Fatalf("blackout reference has %d chargers, want solar only", got)
 	}
 }

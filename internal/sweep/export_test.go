@@ -27,8 +27,9 @@ func exportGrid() Grid {
 		Seeds:     SeedRange(1, 2),
 		Days:      2,
 		Collect: func(c Cell, d *deploy.Deployment) []*trace.Series {
+			base := d.Stations[0] // both scenarios list a base first
 			s, _ := trace.Sample(d.Sim, 2*time.Hour, "base-volts", "V",
-				func(time.Time) float64 { return d.Base.Node().Bus.VoltageNow() })
+				func(time.Time) float64 { return base.Node().Bus.VoltageNow() })
 			return []*trace.Series{s}
 		},
 	}

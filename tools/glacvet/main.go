@@ -1,6 +1,6 @@
 // Command glacvet is the repository's own static analysis suite. It
 // type-checks the packages named on the command line (default: the
-// simulator tree — ./internal/..., ./cmd/... and the facade package) and
+// simulator tree — ./internal/..., ./cmd/... and the root package) and
 // enforces four families of invariants that the golden files and
 // AllocsPerRun pins otherwise only catch at runtime:
 //
