@@ -70,10 +70,11 @@ func Fail(tool, usageLine string, err error) {
 // ParseWorkerList parses the -remote flag the CLIs share: a
 // comma-separated list of worker addresses ("host:port" or full URLs).
 // Empty input means no workers (nil, no error); a non-empty input that
-// yields no addresses is an error. Duplicate addresses — compared after
-// trailing-slash normalisation, so "host:8080" and "host:8080/" collide —
-// are a usage error: each address gets its own dispatch loop, so a
-// doubled host would silently pull double the shards.
+// yields no addresses is an error. Duplicate addresses — compared as the
+// distrib.BaseURL they dispatch to, so "host:8080", "host:8080/" and
+// "http://host:8080" collide — are a usage error: each address gets its
+// own dispatch loop, so a doubled host would silently pull double the
+// shards.
 func ParseWorkerList(s string) ([]string, error) {
 	if s == "" {
 		return nil, nil
@@ -85,7 +86,7 @@ func ParseWorkerList(s string) ([]string, error) {
 		if addr == "" {
 			continue
 		}
-		canon := strings.TrimRight(addr, "/")
+		canon := distrib.BaseURL(addr)
 		if seen[canon] {
 			return nil, Usagef("worker %s appears twice in %q — each address gets one dispatch loop, list it once", canon, s)
 		}

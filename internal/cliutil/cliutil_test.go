@@ -54,6 +54,8 @@ func TestParseWorkerListRejectsDuplicates(t *testing.T) {
 		"a:1/,a:1",
 		"a:1, a:1/ ",
 		"http://a:1,http://a:1///",
+		"a:1,http://a:1/",
+		"127.0.0.1:9193,http://127.0.0.1:9193/",
 	}
 	for _, in := range cases {
 		_, err := ParseWorkerList(in)
@@ -64,14 +66,14 @@ func TestParseWorkerListRejectsDuplicates(t *testing.T) {
 		if !IsUsage(err) {
 			t.Errorf("ParseWorkerList(%q) error %v is not a usage error", in, err)
 		}
-		if !strings.Contains(err.Error(), "a:1") {
+		if !strings.Contains(err.Error(), "a:1") && !strings.Contains(err.Error(), "127.0.0.1:9193") {
 			t.Errorf("error %q does not name the duplicated worker", err)
 		}
 	}
-	// Same host, different scheme spelling: distinct strings, not flagged
-	// (the operator may genuinely front one host two ways).
-	if _, err := ParseWorkerList("a:1,http://a:1"); err != nil {
-		t.Errorf("distinct spellings rejected: %v", err)
+	// Same host under two schemes: two different URLs, not flagged (the
+	// operator may genuinely front one host two ways).
+	if _, err := ParseWorkerList("http://a:1,https://a:1"); err != nil {
+		t.Errorf("distinct schemes rejected: %v", err)
 	}
 }
 

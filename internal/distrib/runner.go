@@ -107,10 +107,11 @@ func (r *RemoteRunner) workerFails() int {
 	return 3
 }
 
-// baseURL normalises a worker address to a URL. Trailing slashes go for
-// every form — "host:port/" would otherwise produce "//shard" paths that
-// 404 on each dispatch.
-func baseURL(addr string) string {
+// BaseURL normalises a worker address to the URL its dispatch loop talks
+// to: a bare "host:port" gains "http://", and trailing slashes go for every
+// form — "host:port/" would otherwise produce "//shard" paths that 404 on
+// each dispatch. Two addresses with one BaseURL are one worker.
+func BaseURL(addr string) string {
 	addr = strings.TrimRight(addr, "/")
 	if strings.Contains(addr, "://") {
 		return addr
@@ -311,7 +312,7 @@ func (r *RemoteRunner) RunPlanned(g sweep.Grid, fp string, total int, cells []sw
 					}
 				}
 			}
-		}(baseURL(addr))
+		}(BaseURL(addr))
 	}
 	wg.Wait()
 

@@ -26,37 +26,14 @@ const PowerW = 0.9
 // DefaultBootDelay is the time from rail-up to userland ready.
 const DefaultBootDelay = 35 * time.Second
 
-// Job is one unit of work on the host. Duration is evaluated when the job
-// starts (so it can depend on how much data accumulated); Run fires at
-// completion; Abort (optional) fires if power is lost mid-job.
-//
-// Work is the allocation-friendly alternative to the Duration/Run pair: it
-// runs when the job starts, returns the simulated duration the job occupies,
-// and optionally a completion function the host applies when the job
-// finishes. A job must set either Work, or both Duration and Run — not a mix.
+// Job is one unit of work on the host. Work (required) runs when the job
+// starts, so its duration can depend on how much data accumulated; it
+// returns the simulated time the job occupies and, optionally, a completion
+// function the host applies when the job finishes. A power cut mid-job
+// drops the completion function unrun.
 type Job struct {
-	Name     string
-	Duration func(now time.Time) time.Duration
-	Run      func(now time.Time)
-	Abort    func(now time.Time)
-	Work     func(now time.Time) (time.Duration, func(now time.Time))
-}
-
-func checkJob(j Job) {
-	if j.Work != nil {
-		if j.Duration != nil || j.Run != nil {
-			panic("gumstix: job must set Work or Duration+Run, not both")
-		}
-		return
-	}
-	if j.Duration == nil || j.Run == nil {
-		panic("gumstix: job needs Duration and Run")
-	}
-}
-
-// FixedJob builds a Job with a constant duration.
-func FixedJob(name string, d time.Duration, run func(now time.Time)) Job {
-	return Job{Name: name, Duration: func(time.Time) time.Duration { return d }, Run: run}
+	Name string
+	Work func(now time.Time) (time.Duration, func(now time.Time))
 }
 
 // Host is a simulated Gumstix. Construct with New; drive it by switching its
@@ -80,7 +57,6 @@ type Host struct {
 	head     int
 	running  bool
 	curEv    simenv.EventID
-	cur      Job
 	curApply func(now time.Time)
 
 	onBoot []func(now time.Time)
@@ -161,12 +137,8 @@ func (h *Host) railChanged(on bool, now time.Time) {
 	h.booted = false
 	if h.running {
 		h.sim.Cancel(h.curEv)
-		if h.cur.Abort != nil {
-			h.cur.Abort(now)
-		}
 		h.aborts++
 		h.running = false
-		h.cur = Job{}
 		h.curApply = nil
 	}
 	// Clear the queue but keep the backing array; zero the dropped slots so
@@ -201,7 +173,6 @@ func (h *Host) Enqueue(j Job) {
 	if !h.powered {
 		return
 	}
-	checkJob(j)
 	h.queue = append(h.queue, j)
 	if h.booted {
 		h.pump(h.sim.Now())
@@ -218,7 +189,6 @@ func (h *Host) EnqueueFront(j Job) {
 	if !h.powered {
 		return
 	}
-	checkJob(j)
 	if h.head > 0 {
 		// A pop freed a slot at the front; continuation chains (drain next
 		// file, upload next item) land here and never reallocate.
@@ -234,11 +204,6 @@ func (h *Host) EnqueueFront(j Job) {
 	}
 }
 
-// Do enqueues a fixed-duration job.
-func (h *Host) Do(name string, d time.Duration, run func(now time.Time)) {
-	h.Enqueue(FixedJob(name, d, run))
-}
-
 //glacvet:hotpath
 func (h *Host) pump(now time.Time) {
 	if h.running || !h.booted || h.head >= len(h.queue) {
@@ -252,13 +217,8 @@ func (h *Host) pump(now time.Time) {
 		h.head = 0
 	}
 	h.running = true
-	h.cur = j
 	var d time.Duration
-	if j.Work != nil {
-		d, h.curApply = j.Work(now)
-	} else {
-		d = j.Duration(now)
-	}
+	d, h.curApply = j.Work(now)
 	if d < 0 {
 		d = 0
 	}
@@ -270,18 +230,12 @@ func (h *Host) jobDone(doneNow time.Time) {
 	if !h.booted { // power vanished; abort path already handled
 		return
 	}
-	j := h.cur
 	apply := h.curApply
 	h.running = false
-	h.cur = Job{}
 	h.curApply = nil
 	h.done++
-	if j.Work != nil {
-		if apply != nil {
-			apply(doneNow)
-		}
-	} else {
-		j.Run(doneNow)
+	if apply != nil {
+		apply(doneNow)
 	}
 	h.pump(doneNow)
 }

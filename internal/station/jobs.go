@@ -289,7 +289,7 @@ func (s *Station) gpsDrainWork(now time.Time) (time.Duration, func(time.Time)) {
 	t := f.TransferTime(s.rs232Health)
 	return t, func(done time.Time) {
 		name := fmt.Sprintf("dgps-%d", f.ID)
-		if err := s.card.Write(name, int64(f.SizeBytes), nil, done); err == nil {
+		if err := s.card.Write(name, int64(f.SizeBytes), done); err == nil {
 			s.spool.Add(storage.KindDGPSFile, name, int64(f.SizeBytes), done)
 			_ = s.node.GPS.Delete(f.ID)
 			s.cur.GPSFilesDrained++

@@ -23,16 +23,13 @@ var ErrCorrupted = errors.New("storage: file corrupted")
 // ErrNotFound is returned when a file does not exist.
 var ErrNotFound = errors.New("storage: file not found")
 
-// StoredFile is one file on the CF card. Payload bytes are modeled by size;
-// Data optionally carries real content (used by the update mechanism).
+// StoredFile is one file on the CF card. Payload bytes are modeled by size
+// only: what the station cares about is volume, not content.
 type StoredFile struct {
 	// Name is the file path on the card.
 	Name string
 	// Size is the file size in bytes.
 	Size int64
-	// Data optionally holds real content; len(Data) need not equal Size
-	// for bulk sensor files where only volume matters.
-	Data []byte
 	// Created is when the file was written.
 	Created time.Time
 
@@ -63,7 +60,7 @@ func (c *CFCard) Used() int64 { return c.used }
 
 // Write stores a file, replacing any previous version. It fails if the card
 // would overflow.
-func (c *CFCard) Write(name string, size int64, data []byte, now time.Time) error {
+func (c *CFCard) Write(name string, size int64, now time.Time) error {
 	if size < 0 {
 		return fmt.Errorf("storage: negative size for %q", name)
 	}
@@ -75,12 +72,11 @@ func (c *CFCard) Write(name string, size int64, data []byte, now time.Time) erro
 		return fmt.Errorf("storage: card full writing %q (%d used of %d)", name, c.used, c.capacity)
 	}
 	c.used += size - old
-	c.files[name] = &StoredFile{Name: name, Size: size, Data: append([]byte(nil), data...), Created: now}
+	c.files[name] = &StoredFile{Name: name, Size: size, Created: now}
 	return nil
 }
 
-// Read returns a file's metadata and content. Corrupted files return
-// ErrCorrupted.
+// Read returns a file's metadata. Corrupted files return ErrCorrupted.
 func (c *CFCard) Read(name string) (StoredFile, error) {
 	f, ok := c.files[name]
 	if !ok {
@@ -89,9 +85,7 @@ func (c *CFCard) Read(name string) (StoredFile, error) {
 	if f.corrupted {
 		return StoredFile{}, fmt.Errorf("%w: %q", ErrCorrupted, name)
 	}
-	out := *f
-	out.Data = append([]byte(nil), f.Data...)
-	return out, nil
+	return *f, nil
 }
 
 // Delete removes a file; deleting a missing file is an error.

@@ -19,14 +19,14 @@ func pickFn(seed int64) func(string) float64 {
 
 func TestCFWriteReadDelete(t *testing.T) {
 	c := NewCFCard(1 << 20)
-	if err := c.Write("a.dat", 1000, []byte("hello"), t0); err != nil {
+	if err := c.Write("a.dat", 1000, t0); err != nil {
 		t.Fatal(err)
 	}
 	f, err := c.Read("a.dat")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Size != 1000 || string(f.Data) != "hello" {
+	if f.Size != 1000 || f.Name != "a.dat" || !f.Created.Equal(t0) {
 		t.Fatalf("read %+v", f)
 	}
 	if c.Used() != 1000 {
@@ -45,10 +45,10 @@ func TestCFWriteReadDelete(t *testing.T) {
 
 func TestCFOverwriteAdjustsUsage(t *testing.T) {
 	c := NewCFCard(1 << 20)
-	if err := c.Write("f", 500, nil, t0); err != nil {
+	if err := c.Write("f", 500, t0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Write("f", 200, nil, t0); err != nil {
+	if err := c.Write("f", 200, t0); err != nil {
 		t.Fatal(err)
 	}
 	if c.Used() != 200 {
@@ -58,14 +58,14 @@ func TestCFOverwriteAdjustsUsage(t *testing.T) {
 
 func TestCFFullRejectsWrite(t *testing.T) {
 	c := NewCFCard(1000)
-	if err := c.Write("a", 900, nil, t0); err != nil {
+	if err := c.Write("a", 900, t0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Write("b", 200, nil, t0); err == nil {
+	if err := c.Write("b", 200, t0); err == nil {
 		t.Fatal("overflow write accepted")
 	}
 	// Replacing the large file with a smaller one must work.
-	if err := c.Write("a", 100, nil, t0); err != nil {
+	if err := c.Write("a", 100, t0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -74,7 +74,7 @@ func TestCorruptionAndRecovery(t *testing.T) {
 	c := NewCFCard(1 << 30)
 	for i := 0; i < 100; i++ {
 		name := string(rune('a'+i%26)) + string(rune('0'+i/26))
-		if err := c.Write(name, 1024, nil, t0); err != nil {
+		if err := c.Write(name, 1024, t0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,7 +112,7 @@ func TestCorruptionAndRecovery(t *testing.T) {
 
 func TestCorruptTargeted(t *testing.T) {
 	c := NewCFCard(1 << 20)
-	if err := c.Write("x", 10, nil, t0); err != nil {
+	if err := c.Write("x", 10, t0); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Corrupt("x"); err != nil {
@@ -196,7 +196,7 @@ func TestPropertyUsageConsistent(t *testing.T) {
 			if op.Del {
 				_ = c.Delete(name)
 			} else {
-				_ = c.Write(name, int64(op.Size), nil, t0)
+				_ = c.Write(name, int64(op.Size), t0)
 			}
 		}
 		var sum int64

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -9,9 +8,9 @@ import (
 	"repro/internal/weather"
 )
 
-// The weather axis swaps named climates into cells: a dead-calm dark
-// config must observably change the cell's climate, and the axis must be
-// duplicate-rejected and label-carrying like every other axis.
+// A climate study is an Override that swaps a weather config into the
+// topology: a dead-calm dark config must observably change its cell's
+// climate while the other override value keeps the scenario's own.
 func TestWeatherAxis(t *testing.T) {
 	dark := weather.DefaultConfig(0) // seed 0 defers to the cell's topology seed
 	// weather.New fills zero fields with the Iceland defaults, so "almost
@@ -22,9 +21,9 @@ func TestWeatherAxis(t *testing.T) {
 		Scenarios: []string{"as-deployed-2008"},
 		Seeds:     []int64{3},
 		Days:      2,
-		Weathers: []WeatherSpec{
-			{Name: "iceland", Config: weather.DefaultConfig(0)},
-			{Name: "dark-calm", Config: dark},
+		Overrides: []Override{
+			{Name: "iceland"},
+			{Name: "dark-calm", Apply: func(top *deploy.Topology) { top.Weather = dark }},
 		},
 		Observe: func(c Cell, d *deploy.Deployment) []Metric {
 			noon := d.Sim.Now().Add(-12 * time.Hour)
@@ -35,49 +34,34 @@ func TestWeatherAxis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sum.Cells) != 2 {
-		t.Fatalf("got %d cells, want 2 (one per weather config)", len(sum.Cells))
-	}
-	if sum.Cells[0].Cell.Weather != "iceland" || sum.Cells[1].Cell.Weather != "dark-calm" {
-		t.Fatalf("weather axis order wrong: %q, %q", sum.Cells[0].Cell.Weather, sum.Cells[1].Cell.Weather)
+	if len(sum.Cells) != 2 || len(sum.Groups) != 2 {
+		t.Fatalf("got %d cells in %d groups, want 2 in 2 (one per climate)", len(sum.Cells), len(sum.Groups))
 	}
 	sun, _ := sum.Cells[0].Metric("noon-sun")
 	darkSun, _ := sum.Cells[1].Metric("noon-sun")
 	if sun <= 5 || darkSun > 1 {
-		t.Fatalf("weather configs not applied per cell: iceland noon sun %v, dark-calm %v", sun, darkSun)
+		t.Fatalf("climate override not applied per cell: iceland noon sun %v, dark-calm %v", sun, darkSun)
 	}
-	if !strings.Contains(sum.Cells[1].Cell.Label(), "wx=dark-calm") {
-		t.Fatalf("cell label %q does not carry the weather axis", sum.Cells[1].Cell.Label())
-	}
-	if len(sum.Groups) != 2 || sum.Groups[1].Weather != "dark-calm" {
-		t.Fatalf("groups not split by weather config: %+v", sum.Groups)
-	}
-
-	for _, c := range []struct {
-		name string
-		ws   []WeatherSpec
-		want string
-	}{
-		{"duplicate", []WeatherSpec{{Name: "x"}, {Name: "x"}}, "duplicate weather config"},
-		{"unnamed", []WeatherSpec{{}}, "needs a name"},
-	} {
-		bad := Grid{Scenarios: []string{"dual-base"}, Seeds: []int64{1}, Weathers: c.ws}
-		if _, err := Plan(bad); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s weather axis: err = %v, want %q", c.name, err, c.want)
-		}
+	if got := sum.Cells[1].Cell.Label(); got != "as-deployed-2008 seed=3 ov=dark-calm" {
+		t.Fatalf("cell label %q does not carry the override", got)
 	}
 }
 
-// The probe-lifetime axis sets the fleet-wide mean probe lifetime per
-// cell: an hour-lived cohort must end a two-day run with fewer probes
-// alive than a decades-lived one, and the axis is duplicate- and
-// non-positive-rejected.
+// A probe-lifetime study is an Override that sets the fleet-wide mean
+// lifetime: an hour-lived cohort must end a two-day run with fewer probes
+// alive than a decades-lived one.
 func TestProbeLifetimeAxis(t *testing.T) {
+	life := func(d time.Duration) func(*deploy.Topology) {
+		return func(top *deploy.Topology) { top.ProbeLifetime = d }
+	}
 	g := Grid{
-		Scenarios:      []string{"as-deployed-2008"},
-		Seeds:          []int64{5},
-		Days:           2,
-		ProbeLifetimes: []time.Duration{time.Hour, 50 * 365 * 24 * time.Hour},
+		Scenarios: []string{"as-deployed-2008"},
+		Seeds:     []int64{5},
+		Days:      2,
+		Overrides: []Override{
+			{Name: "1h", Apply: life(time.Hour)},
+			{Name: "50y", Apply: life(50 * 365 * 24 * time.Hour)},
+		},
 	}
 	sum, err := Run(g, 2)
 	if err != nil {
@@ -89,26 +73,6 @@ func TestProbeLifetimeAxis(t *testing.T) {
 	short, _ := sum.Cells[0].Metric("probes-alive")
 	long, _ := sum.Cells[1].Metric("probes-alive")
 	if short >= long {
-		t.Fatalf("hour-lived cohort has %v probes alive, decades-lived %v — lifetime axis not applied", short, long)
-	}
-	if !strings.Contains(sum.Cells[0].Cell.Label(), "life=1h") {
-		t.Fatalf("cell label %q does not carry the lifetime axis", sum.Cells[0].Cell.Label())
-	}
-	if len(sum.Groups) != 2 || sum.Groups[0].ProbeLifetime != time.Hour {
-		t.Fatalf("groups not split by probe lifetime: %+v", sum.Groups)
-	}
-
-	for _, c := range []struct {
-		name  string
-		lives []time.Duration
-		want  string
-	}{
-		{"duplicate", []time.Duration{time.Hour, time.Hour}, "duplicate probe lifetime"},
-		{"non-positive", []time.Duration{-time.Hour}, "non-positive probe lifetime"},
-	} {
-		bad := Grid{Scenarios: []string{"dual-base"}, Seeds: []int64{1}, ProbeLifetimes: c.lives}
-		if _, err := Plan(bad); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s lifetime axis: err = %v, want %q", c.name, err, c.want)
-		}
+		t.Fatalf("hour-lived cohort has %v probes alive, decades-lived %v — lifetime override not applied", short, long)
 	}
 }

@@ -92,23 +92,14 @@ func TestFingerprintSeparatesGrids(t *testing.T) {
 	if Fingerprint(other, otherPlan) == fp {
 		t.Fatal("different seed axes fingerprint identically")
 	}
-	// The weather axis configs are part of the identity even though the
-	// cell tuples only carry the axis names.
-	wx := g
-	wx.Weathers = []WeatherSpec{{Name: "calm"}}
-	wxPlan, err := Plan(wx)
+	renamed := g
+	renamed.Overrides = []Override{{Name: "nominal"}, {Name: "weak"}}
+	renamedPlan, err := Plan(renamed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wx2 := wx
-	wx2.Weathers = []WeatherSpec{{Name: "calm"}}
-	wx2.Weathers[0].Config.MeanWind = 99
-	wx2Plan, err := Plan(wx2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Fingerprint(wx, wxPlan) == Fingerprint(wx2, wx2Plan) {
-		t.Fatal("same-named weather axes with different configs fingerprint identically")
+	if Fingerprint(renamed, renamedPlan) == fp {
+		t.Fatal("different override names fingerprint identically")
 	}
 }
 

@@ -11,26 +11,21 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/scenario"
 )
 
 // Cell identifies one point of the grid cross-product. Index is the cell's
 // global position in the fixed enumeration order (scenario, then seed, then
-// stations, then probes, then weather, then probe lifetime, then override),
-// independent of worker count and shard split.
+// stations, then probes, then override), independent of worker count and
+// shard split.
 type Cell struct {
 	Index    int
 	Scenario string
 	Seed     int64
 	Stations int
 	Probes   int
-	// Weather names the weather-axis value ("" = the scenario's climate).
-	Weather string
-	// ProbeLifetime is the lifetime-axis value (0 = the scenario default).
-	ProbeLifetime time.Duration
-	Override      string
+	Override string
 	// Days is the resolved horizon: the grid's Days if set, else the
 	// scenario's default.
 	Days int
@@ -47,12 +42,6 @@ func (c Cell) Label() string {
 	if c.Probes > 0 {
 		fmt.Fprintf(&b, " probes=%d", c.Probes)
 	}
-	if c.Weather != "" {
-		fmt.Fprintf(&b, " wx=%s", c.Weather)
-	}
-	if c.ProbeLifetime > 0 {
-		fmt.Fprintf(&b, " life=%s", c.ProbeLifetime)
-	}
 	if c.Override != "" {
 		fmt.Fprintf(&b, " ov=%s", c.Override)
 	}
@@ -60,9 +49,9 @@ func (c Cell) Label() string {
 }
 
 // Plan validates the grid and enumerates its cross-product in the fixed
-// order: scenario (outer), seed, stations, probes, weather, probe
-// lifetime, override (inner). The returned slice is the full plan; Shard
-// slices it for distributed execution.
+// order: scenario (outer), seed, stations, probes, override (inner). The
+// returned slice is the full plan; Shard slices it for distributed
+// execution.
 func Plan(g Grid) ([]Cell, error) {
 	if len(g.Scenarios) == 0 {
 		return nil, fmt.Errorf("sweep: grid has no scenarios")
@@ -74,9 +63,8 @@ func Plan(g Grid) ([]Cell, error) {
 		return nil, fmt.Errorf("sweep: negative horizon %d", g.Days)
 	}
 	// Every axis must be duplicate-free: a repeated scenario, seed, fleet
-	// size, cohort size, weather config or lifetime would enumerate the
-	// same configuration twice, silently inflating the group's N and
-	// skewing the stddev fold.
+	// size, cohort size or override would enumerate the same configuration
+	// twice, silently inflating the group's N and skewing the stddev fold.
 	seenScen := make(map[string]bool, len(g.Scenarios))
 	for _, name := range g.Scenarios {
 		if seenScen[name] {
@@ -105,26 +93,6 @@ func Plan(g Grid) ([]Cell, error) {
 		}
 		seenProbes[p] = true
 	}
-	seenWX := make(map[string]bool, len(g.Weathers))
-	for i, w := range g.Weathers {
-		if w.Name == "" {
-			return nil, fmt.Errorf("sweep: weather config %d needs a name", i)
-		}
-		if seenWX[w.Name] {
-			return nil, fmt.Errorf("sweep: duplicate weather config %q on the weather axis", w.Name)
-		}
-		seenWX[w.Name] = true
-	}
-	seenLife := make(map[time.Duration]bool, len(g.ProbeLifetimes))
-	for _, life := range g.ProbeLifetimes {
-		if life <= 0 {
-			return nil, fmt.Errorf("sweep: non-positive probe lifetime %s on the lifetime axis", life)
-		}
-		if seenLife[life] {
-			return nil, fmt.Errorf("sweep: duplicate probe lifetime %s on the lifetime axis", life)
-		}
-		seenLife[life] = true
-	}
 	seen := make(map[string]bool, len(g.Overrides))
 	for i, ov := range g.Overrides {
 		if ov.Name == "" {
@@ -143,17 +111,6 @@ func Plan(g Grid) ([]Cell, error) {
 	if len(probes) == 0 {
 		probes = []int{0}
 	}
-	wxNames := []string{""}
-	if len(g.Weathers) > 0 {
-		wxNames = make([]string, len(g.Weathers))
-		for i, w := range g.Weathers {
-			wxNames[i] = w.Name
-		}
-	}
-	lifetimes := g.ProbeLifetimes
-	if len(lifetimes) == 0 {
-		lifetimes = []time.Duration{0}
-	}
 	ovNames := []string{""}
 	if len(g.Overrides) > 0 {
 		ovNames = make([]string, len(g.Overrides))
@@ -171,16 +128,11 @@ func Plan(g Grid) ([]Cell, error) {
 		for _, seed := range g.Seeds {
 			for _, n := range stations {
 				for _, p := range probes {
-					for _, wx := range wxNames {
-						for _, life := range lifetimes {
-							for _, ov := range ovNames {
-								cells = append(cells, Cell{
-									Index: len(cells), Scenario: name, Seed: seed,
-									Stations: n, Probes: p, Weather: wx,
-									ProbeLifetime: life, Override: ov, Days: days,
-								})
-							}
-						}
+					for _, ov := range ovNames {
+						cells = append(cells, Cell{
+							Index: len(cells), Scenario: name, Seed: seed,
+							Stations: n, Probes: p, Override: ov, Days: days,
+						})
 					}
 				}
 			}
@@ -258,8 +210,8 @@ func ParseShardSpec(s string) (i, m int, err error) {
 }
 
 // Fingerprint returns a short stable hash of a plan — every cell's full
-// identity plus the weather axis configurations — recorded on each partial
-// summary so MergeSummaries can refuse to fold shards of different grids. It
+// identity — recorded on each partial summary so MergeSummaries can refuse
+// to fold shards of different grids. It
 // identifies the declarative cell set; behavioural hooks (Override.Apply,
 // Drive, Observe, Collect) cannot be hashed, so keeping those identical
 // across shard processes is the caller's contract, exactly as it is for
@@ -267,15 +219,14 @@ func ParseShardSpec(s string) (i, m int, err error) {
 func Fingerprint(g Grid, plan []Cell) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "cells=%d days=%d\n", len(plan), g.Days)
-	for _, w := range g.Weathers {
-		fmt.Fprintf(h, "wx %q %+v\n", w.Name, w.Config)
-	}
 	// %q on the string axes: a name containing the separator must not make
-	// two different plans hash identically.
+	// two different plans hash identically. The constant `""|0s` fills the
+	// positions of two retired axes (weather, probe lifetime), so every
+	// fingerprint — and the rescache keys, shard manifests and evlog
+	// headers built on it — stays what it was when those axes existed.
 	for _, c := range plan {
-		fmt.Fprintf(h, "%d|%q|%d|%d|%d|%q|%s|%q|%d\n",
-			c.Index, c.Scenario, c.Seed, c.Stations, c.Probes,
-			c.Weather, c.ProbeLifetime, c.Override, c.Days)
+		fmt.Fprintf(h, "%d|%q|%d|%d|%d|\"\"|0s|%q|%d\n",
+			c.Index, c.Scenario, c.Seed, c.Stations, c.Probes, c.Override, c.Days)
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }

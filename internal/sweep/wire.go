@@ -33,14 +33,9 @@ func ReadSummary(r io.Reader) (*Summary, error) {
 		}
 		sum.Cells = append(sum.Cells, cr)
 	}
-	for i, gj := range doc.Groups {
-		life, err := parseLifetime(gj.ProbeLifetime)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: decode group %d: %w", i, err)
-		}
+	for _, gj := range doc.Groups {
 		gr := Group{
 			Scenario: gj.Scenario, Stations: gj.Stations, Probes: gj.Probes,
-			Weather: gj.Weather, ProbeLifetime: life,
 			Override: gj.Override, Days: gj.Days, N: gj.N, Errors: gj.Errors,
 		}
 		for _, st := range gj.Stats {
@@ -73,15 +68,10 @@ func ReadSummaryFile(path string) (*Summary, error) {
 // cellFromJSON decodes one cell wire document back into a CellResult —
 // the inverse of cellToJSON, shared by ReadSummary and DecodeCell.
 func cellFromJSON(cj cellJSON) (CellResult, error) {
-	life, err := parseLifetime(cj.ProbeLifetime)
-	if err != nil {
-		return CellResult{}, err
-	}
 	cr := CellResult{
 		Cell: Cell{
 			Index: cj.Index, Scenario: cj.Scenario, Seed: cj.Seed,
 			Stations: cj.Stations, Probes: cj.Probes,
-			Weather: cj.Weather, ProbeLifetime: life,
 			Override: cj.Override, Days: cj.Days,
 		},
 		Err: cj.Err,
@@ -151,16 +141,4 @@ func fromFinite(v *float64) float64 {
 		return math.NaN()
 	}
 	return *v
-}
-
-// parseLifetime inverts durationField.
-func parseLifetime(s string) (time.Duration, error) {
-	if s == "" {
-		return 0, nil
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return 0, fmt.Errorf("bad probe lifetime %q: %w", s, err)
-	}
-	return d, nil
 }
