@@ -4,7 +4,7 @@
 # via tools/benchjson. Bump BENCH_N once per PR so the series of committed
 # files shows how the numbers move as the codebase grows.
 
-BENCH_N ?= 15
+BENCH_N ?= 19
 BENCH_PATTERN ?= BenchmarkFleetDay|BenchmarkSweep
 
 # Benchmarks the profile target captures pprof data from, one profile pair

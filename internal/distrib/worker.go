@@ -8,12 +8,14 @@
 //
 //	POST /shard    execute a ShardRequest, stream back the partial
 //	               summary as the WriteJSON document (409 on fingerprint
-//	               drift, 503 at the concurrent-shard bound)
+//	               drift, 413 past the request size bound, 503 at the
+//	               concurrent-shard bound)
 //	GET  /healthz  liveness and load, as JSON
 package distrib
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -134,7 +136,12 @@ func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 func (w *Worker) serveShard(rw http.ResponseWriter, r *http.Request) {
 	var req ShardRequest
 	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxRequestBytes)).Decode(&req); err != nil {
-		http.Error(rw, fmt.Sprintf("bad shard request: %v", err), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(rw, fmt.Sprintf("bad shard request: %v", err), status)
 		return
 	}
 	if req.V != WireVersion {

@@ -186,6 +186,15 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 	resp, err = http.Post(srv.URL+"/shard", "application/json", strings.NewReader("{not json"))
 	check("malformed body", http.StatusBadRequest, "bad shard request", resp, err)
 
+	resp, err = http.Post(srv.URL+"/shard", "application/json", strings.NewReader(`{"v":1,"indices":[0,`))
+	check("truncated body", http.StatusBadRequest, "unexpected EOF", resp, err)
+
+	// A body past the 16 MiB bound: a well-formed string that never ends
+	// within the limit, so the size and not the syntax is what fails.
+	huge := `{"pad":"` + strings.Repeat("a", maxRequestBytes) + `"}`
+	resp, err = http.Post(srv.URL+"/shard", "application/json", strings.NewReader(huge))
+	check("oversized body", http.StatusRequestEntityTooLarge, "too large", resp, err)
+
 	old := shardRequest(t, g, "", "")
 	old.V = 99
 	check("wrong version", http.StatusBadRequest, "version 99", post(t, srv.URL, old), nil)

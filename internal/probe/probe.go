@@ -4,8 +4,11 @@
 // conductivity, orientation and pressure" (§I).
 //
 // Each probe samples on its own schedule, buffers readings locally, and
-// answers the base station's fetch protocol. Two behaviours from the paper
-// are central:
+// answers the base station's fetch protocol. The store holds only readings
+// the base has not yet confirmed: MarkComplete forgets everything up to the
+// confirmed sequence number, and a store already holding BufferCap
+// readings drops its oldest to take a new one. Two behaviours from the
+// paper are central:
 //
 //   - Fig 6: electrical conductivity rises at the end of winter as
 //     melt-water reaches the glacier bed — reproduced from the weather
@@ -18,7 +21,6 @@ package probe
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/simenv"
@@ -89,10 +91,9 @@ type Probe struct {
 	wx  *weather.Model
 	cfg Config
 
-	readings  []Reading
-	nextSeq   uint64
-	completed uint64 // highest seq the base has confirmed received
-	dropped   int
+	readings []Reading // unconfirmed, oldest first
+	nextSeq  uint64
+	dropped  int
 
 	failAt time.Time
 	ticker *simenv.Ticker
@@ -196,50 +197,30 @@ func (p *Probe) pressureAt(now time.Time) float64 {
 // --- Reading store / protocol server side ---
 
 // PendingCount returns the number of readings not yet confirmed fetched.
-func (p *Probe) PendingCount() int {
-	return len(p.pendingSlice())
-}
+func (p *Probe) PendingCount() int { return len(p.readings) }
 
-// Pending returns a copy of unconfirmed readings, oldest first.
-func (p *Probe) Pending() []Reading {
-	src := p.pendingSlice()
-	out := make([]Reading, len(src))
-	copy(out, src)
-	return out
-}
-
-func (p *Probe) pendingSlice() []Reading {
-	i := sort.Search(len(p.readings), func(i int) bool {
-		return p.readings[i].Seq > p.completed
-	})
-	return p.readings[i:]
-}
-
-// Get returns the reading with the given sequence number, if still buffered.
-func (p *Probe) Get(seq uint64) (Reading, bool) {
-	i := sort.Search(len(p.readings), func(i int) bool {
-		return p.readings[i].Seq >= seq
-	})
-	if i < len(p.readings) && p.readings[i].Seq == seq {
-		return p.readings[i], true
-	}
-	return Reading{}, false
-}
+// Pending returns the unconfirmed readings, oldest first. The slice is the
+// probe's store itself: it is valid until the next sample or MarkComplete,
+// and callers must not modify it.
+func (p *Probe) Pending() []Reading { return p.readings }
 
 // MarkComplete confirms that the base station holds everything up to and
-// including seq. §V: "the task was not marked as complete in the probes; so
-// many missing readings were obtained in subsequent days" — completion is
-// only ever advanced by the base, never assumed by the probe.
+// including seq, and the probe forgets those readings. §V: "the task was
+// not marked as complete in the probes; so many missing readings were
+// obtained in subsequent days" — completion is only ever advanced by the
+// base, never assumed by the probe.
 func (p *Probe) MarkComplete(seq uint64) {
-	if seq > p.completed {
-		p.completed = seq
+	i := 0
+	for i < len(p.readings) && p.readings[i].Seq <= seq {
+		i++
+	}
+	if i > 0 {
+		p.readings = p.readings[:copy(p.readings, p.readings[i:])]
 	}
 }
 
-// CompletedThrough returns the highest confirmed sequence number.
-func (p *Probe) CompletedThrough() uint64 { return p.completed }
-
-// DroppedReadings returns how many readings were lost to buffer overflow.
+// DroppedReadings returns how many unconfirmed readings were lost to
+// buffer overflow.
 func (p *Probe) DroppedReadings() int { return p.dropped }
 
 func noise(seed int64, tag string, k uint64) float64 {

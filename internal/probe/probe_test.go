@@ -2,6 +2,7 @@ package probe
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -100,23 +101,8 @@ func TestMarkCompleteAdvancesPending(t *testing.T) {
 	}
 	// MarkComplete never regresses.
 	p.MarkComplete(2)
-	if p.CompletedThrough() != 6 {
-		t.Fatalf("completion regressed to %d", p.CompletedThrough())
-	}
-}
-
-func TestGetBySeq(t *testing.T) {
-	sim := simenv.New(1)
-	p := New(sim, nil, immortal(21))
-	if err := sim.RunFor(5 * time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	r, ok := p.Get(3)
-	if !ok || r.Seq != 3 {
-		t.Fatalf("Get(3) = %+v, %v", r, ok)
-	}
-	if _, ok := p.Get(99); ok {
-		t.Fatal("Get(99) found a nonexistent reading")
+	if n := p.PendingCount(); n != 4 || p.Pending()[0].Seq != 7 {
+		t.Fatalf("pending %d from seq %d after a stale MarkComplete(2), want 4 from 7", n, p.Pending()[0].Seq)
 	}
 }
 
@@ -156,6 +142,33 @@ func TestBufferOverflowDropsOldest(t *testing.T) {
 	}
 	if p.Pending()[0].Seq != 21 {
 		t.Fatalf("oldest surviving seq %d, want 21", p.Pending()[0].Seq)
+	}
+}
+
+// A full store drops its oldest reading whatever the base has confirmed:
+// after MarkComplete(8) on a 10-reading store holding 6..15, five more
+// samples leave exactly the ten newest readings, 11..20, pending.
+func TestOverflowAfterMarkCompleteKeepsNewest(t *testing.T) {
+	cfg := immortal(21)
+	cfg.BufferCap = 10
+	sim := simenv.New(1)
+	p := New(sim, nil, cfg)
+	if err := sim.RunFor(15 * time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	p.MarkComplete(8)
+	if err := sim.RunFor(5 * time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	var got, want []uint64
+	for _, r := range p.Pending() {
+		got = append(got, r.Seq)
+	}
+	for seq := uint64(11); seq <= 20; seq++ {
+		want = append(want, seq)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("pending seqs %v, want %v", got, want)
 	}
 }
 

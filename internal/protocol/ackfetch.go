@@ -48,7 +48,7 @@ func (f *AckFetcher) Fetch(now time.Time, ch *comms.ProbeChannel, pr *probe.Prob
 	pending := pr.Pending()
 	wanted := missingOf(pending, st)
 	if len(wanted) == 0 {
-		f.markComplete(ch, clock, pr, pending, st, &res)
+		markComplete(ch, clock, pr, pending, st, &res)
 		return res
 	}
 	if !clock.spend(ch.PacketAirtime(requestBytes)+ch.RTT(), &res) {
@@ -91,31 +91,6 @@ func (f *AckFetcher) Fetch(now time.Time, ch *comms.ProbeChannel, pr *probe.Prob
 		}
 	}
 
-	f.markComplete(ch, clock, pr, pending, st, &res)
+	markComplete(ch, clock, pr, pending, st, &res)
 	return res
-}
-
-// markComplete mirrors the NackFetcher's completion handshake.
-func (f *AckFetcher) markComplete(ch *comms.ProbeChannel, clock *budget, pr *probe.Probe,
-	pending []probe.Reading, st *State, res *Result) {
-	if len(pending) == 0 {
-		res.Complete = true
-		return
-	}
-	for _, r := range pending {
-		if !st.has(r.Seq) {
-			return
-		}
-	}
-	highest := pending[len(pending)-1].Seq
-	if clock.spend(ch.PacketAirtime(requestBytes), res) {
-		res.AirBytes += requestBytes
-		pr.MarkComplete(highest)
-		res.Complete = true
-		for seq := range st.Have {
-			if seq <= highest {
-				delete(st.Have, seq)
-			}
-		}
-	}
 }

@@ -147,7 +147,7 @@ func (f *NackFetcher) Fetch(now time.Time, ch *comms.ProbeChannel, pr *probe.Pro
 	pending := pr.Pending()
 	wanted := missingOf(pending, st)
 	if len(wanted) == 0 {
-		f.markComplete(ch, clock, pr, pending, st, &res)
+		markComplete(ch, clock, pr, pending, st, &res)
 		return res
 	}
 
@@ -217,7 +217,7 @@ func (f *NackFetcher) Fetch(now time.Time, ch *comms.ProbeChannel, pr *probe.Pro
 		}
 	}
 
-	f.markComplete(ch, clock, pr, pending, st, &res)
+	markComplete(ch, clock, pr, pending, st, &res)
 	return res
 }
 
@@ -231,8 +231,8 @@ func (f *NackFetcher) sendControl(ch *comms.ProbeChannel, clock *budget, res *Re
 
 // markComplete confirms the task on the probe when the base holds every
 // pending reading, and trims the carried state so it does not grow without
-// bound across a deployment.
-func (f *NackFetcher) markComplete(ch *comms.ProbeChannel, clock *budget, pr *probe.Probe,
+// bound across a deployment. Both fetchers end their sessions with it.
+func markComplete(ch *comms.ProbeChannel, clock *budget, pr *probe.Probe,
 	pending []probe.Reading, st *State, res *Result) {
 	if len(pending) == 0 {
 		res.Complete = true

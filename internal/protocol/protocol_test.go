@@ -76,6 +76,7 @@ func TestSummerBulkFetchHitsDeployedNackBug(t *testing.T) {
 	if pr.PendingCount() < 2900 {
 		t.Fatalf("rig produced only %d readings", pr.PendingCount())
 	}
+	before := pr.PendingCount()
 	f := NewNackFetcher(DefaultNackConfig())
 	res := f.Fetch(sim.Now(), ch, pr, 2*time.Hour, nil)
 	if res.MissedFirstPass < 250 || res.MissedFirstPass > 560 {
@@ -88,8 +89,8 @@ func TestSummerBulkFetchHitsDeployedNackBug(t *testing.T) {
 		t.Fatal("session complete despite overflow abort")
 	}
 	// "Fortunately the task was not marked as complete in the probes."
-	if pr.CompletedThrough() != 0 {
-		t.Fatal("probe marked complete despite aborted session")
+	if pr.PendingCount() != before {
+		t.Fatalf("probe forgot %d readings despite aborted session", before-pr.PendingCount())
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 //
 // The same set of functions carries //glacvet:hotpath in simenv.go (At,
 // After, Cancel, Step, enqueue, dequeue, allocSlot, freeSlot, Ticker.tick,
-// Rand, and the eventQueue helpers front, open, close, less, home, find,
-// insert and remove): `make lint` rejects the allocation patterns
+// and the eventQueue helpers front, open, close, less, home, find, insert
+// and remove): `make lint` rejects the allocation patterns
 // statically, these pins catch whatever slips past the lint at runtime.
 // Keep the two sets in sync. eventQueue.grow is left out on purpose: it
 // allocates, but only when the pending-instant count sets a new high.
@@ -119,17 +119,5 @@ func TestDistinctInstantTickersAllocFree(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(50, step); avg != 0 {
 		t.Fatalf("1000 single-event instants allocate %.1f objects per round, want 0", avg)
-	}
-}
-
-func TestRandHandleDrawAllocFree(t *testing.T) {
-	s := New(1)
-	r := s.Rand("hot") // the handle a hot path hoists out of its loop
-	avg := testing.AllocsPerRun(200, func() {
-		_ = r.Float64()
-		_ = s.Rand("hot") // repeated lookups are lock-free map hits
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state Rand draw allocates %.1f objects/op, want 0", avg)
 	}
 }

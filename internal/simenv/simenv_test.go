@@ -175,29 +175,6 @@ func TestTickerStopHaltsFiring(t *testing.T) {
 	}
 }
 
-func TestRandStreamsAreIndependent(t *testing.T) {
-	a1 := New(42).Rand("alpha").Int63()
-	// Draw from another stream first; alpha must be unaffected.
-	s := New(42)
-	_ = s.Rand("beta").Int63()
-	a2 := s.Rand("alpha").Int63()
-	if a1 != a2 {
-		t.Fatalf("stream alpha perturbed by stream beta: %d != %d", a1, a2)
-	}
-}
-
-func TestRandDeterministicAcrossRuns(t *testing.T) {
-	x := New(7).Rand("w").Float64()
-	y := New(7).Rand("w").Float64()
-	if x != y {
-		t.Fatalf("same seed gave %v and %v", x, y)
-	}
-	z := New(8).Rand("w").Float64()
-	if x == z {
-		t.Fatal("different seeds gave identical first draw (suspicious)")
-	}
-}
-
 func TestProcessedCounts(t *testing.T) {
 	s := New(1)
 	for i := 0; i < 5; i++ {

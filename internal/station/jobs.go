@@ -23,6 +23,10 @@ const (
 	specialExecTime  = 1 * time.Minute
 )
 
+// cardBytes is the capacity of the station's 4 GB compact flash card,
+// which buffers drained dGPS files until they are uploaded.
+const cardBytes = 4 << 30
+
 // initWork binds the daily sequence's work closures, alarm callbacks and
 // method values once, at construction. The Fig 4 sequence enqueues the same
 // jobs every simulated day; before this, each day built a fresh closure (and
@@ -288,9 +292,12 @@ func (s *Station) gpsDrainWork(now time.Time) (time.Duration, func(time.Time)) {
 	// specials execute before the transfer.
 	t := f.TransferTime(s.rs232Health)
 	return t, func(done time.Time) {
-		name := fmt.Sprintf("dgps-%d", f.ID)
-		if err := s.card.Write(name, int64(f.SizeBytes), done); err == nil {
-			s.spool.Add(storage.KindDGPSFile, name, int64(f.SizeBytes), done)
+		// dGPS file IDs never repeat, so every drained file adds to the
+		// card; a file that would overflow it stays on the receiver.
+		size := int64(f.SizeBytes)
+		if s.cardUsed+size <= cardBytes {
+			s.cardUsed += size
+			s.spool.Add(storage.KindDGPSFile, fmt.Sprintf("dgps-%d", f.ID), size, done)
 			_ = s.node.GPS.Delete(f.ID)
 			s.cur.GPSFilesDrained++
 			// More files? Keep draining inside the window.

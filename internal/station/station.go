@@ -160,9 +160,9 @@ type Station struct {
 	probes  []*probe.Probe
 	fetchSt map[int]*protocol.State
 
-	card  *storage.CFCard
-	spool *storage.Spool
-	rec   *recovery.Coordinator
+	cardUsed int64 // bytes written to the CF card
+	spool    *storage.Spool
+	rec      *recovery.Coordinator
 
 	state    power.State
 	stats    Stats
@@ -245,7 +245,6 @@ func New(node *core.Node, srv *server.Server, channel *comms.ProbeChannel, probe
 		channel:     channel,
 		probes:      probes,
 		fetchSt:     make(map[int]*protocol.State),
-		card:        storage.NewCFCard(4 << 30), // the 4 GB CF card
 		spool:       storage.NewSpool(),
 		state:       cfg.InitialState,
 		rs232Health: cfg.RS232Health,
@@ -292,9 +291,6 @@ func (s *Station) Stats() Stats { return s.stats }
 
 // Spool exposes the upload spool (tests, experiments).
 func (s *Station) Spool() *storage.Spool { return s.spool }
-
-// Card exposes the CF card (tests, experiments).
-func (s *Station) Card() *storage.CFCard { return s.card }
 
 // Recovery exposes the §IV coordinator's stats.
 func (s *Station) Recovery() recovery.Stats { return s.rec.Stats() }

@@ -256,6 +256,25 @@ func TestWatchdogTripsOnHugeBacklogAndBacklogClears(t *testing.T) {
 	}
 }
 
+// A full CF card takes no more dGPS files: the drain stops at the first
+// file that would overflow it, which stays on the receiver.
+func TestFullCardKeepsFilesOnReceiver(t *testing.T) {
+	r := newRig(t, rigOpts{probes: 0})
+	r.st.Node().GPS.InjectBacklog(12, r.sim.Now())
+	start := r.st.Node().GPS.FileCount()
+	r.st.cardUsed = cardBytes - 1
+	r.runDays(t, 1)
+	if got := r.st.Reports()[0].GPSFilesDrained; got != 0 {
+		t.Fatalf("full card drained %d files", got)
+	}
+	if got := r.st.Node().GPS.FileCount(); got < start {
+		t.Fatalf("receiver holds %d files, had %d before a day with a full card", got, start)
+	}
+	if r.st.cardUsed != cardBytes-1 {
+		t.Fatalf("card usage moved to %d on a full card", r.st.cardUsed)
+	}
+}
+
 func TestSingleFileDeadlockWithoutFixAndRescueWithFix(t *testing.T) {
 	// Degraded RS-232: one 165 KB file takes >2 h, so the as-deployed
 	// ordering can never make progress — §VI's "no progress could ever be
@@ -455,31 +474,6 @@ func TestLogVolumeScalesWithReadingsFetched(t *testing.T) {
 	firstContact := cfg.LogBaseBytes + cfg.LogPerReadingBytes*3000
 	if firstContact < 1<<20 {
 		t.Fatalf("3000-reading contact logs only %d bytes; lesson not reproducible", firstContact)
-	}
-}
-
-// §VII CF-card corruption lesson: files corrupt, most data is recoverable.
-func TestStationCFCorruptionRecovery(t *testing.T) {
-	r := newRig(t, rigOpts{probes: 0})
-	r.runDays(t, 5) // accumulate dGPS files on the card
-	card := r.st.Card()
-	if len(card.List()) == 0 {
-		t.Fatal("no files on the CF card after 5 days")
-	}
-	n := card.CorruptFraction(0.5, func(name string) float64 {
-		return simenv.HashNoise(1, "corrupt/"+name, 0)
-	})
-	if n == 0 {
-		t.Skip("no files corrupted under this picker")
-	}
-	rec, lost := card.Recover(0.9, func(name string) float64 {
-		return simenv.HashNoise(2, "recover/"+name, 0)
-	})
-	if rec == 0 {
-		t.Fatal("nothing recovered")
-	}
-	if rec+lost != n {
-		t.Fatalf("recovery accounting: %d+%d != %d", rec, lost, n)
 	}
 }
 

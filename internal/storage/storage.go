@@ -1,173 +1,16 @@
-// Package storage models the station's on-board storage: the 4 GB compact
-// flash card that buffers data between communication windows, and the
-// upload spool that survives failed GPRS sessions ("if for any reason the
-// communications fail the data is stored locally until it can be sent
-// onwards").
-//
-// The CF card supports corruption injection and best-effort recovery,
-// reproducing the §VII lesson: "the CF card used to store the readings from
-// the previous year had become corrupted ... it proved possible to recover
-// the data".
+// Package storage models the station's upload spool, the queue that
+// survives failed GPRS sessions ("if for any reason the communications fail
+// the data is stored locally until it can be sent onwards").
 package storage
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 )
 
-// ErrCorrupted is returned when reading a corrupted file.
-var ErrCorrupted = errors.New("storage: file corrupted")
-
-// ErrNotFound is returned when a file does not exist.
+// ErrNotFound is returned when a spool item does not exist.
 var ErrNotFound = errors.New("storage: file not found")
-
-// StoredFile is one file on the CF card. Payload bytes are modeled by size
-// only: what the station cares about is volume, not content.
-type StoredFile struct {
-	// Name is the file path on the card.
-	Name string
-	// Size is the file size in bytes.
-	Size int64
-	// Created is when the file was written.
-	Created time.Time
-
-	corrupted bool
-}
-
-// CFCard is a simulated compact-flash card.
-type CFCard struct {
-	capacity int64
-	files    map[string]*StoredFile
-	used     int64
-
-	corruptions int
-	recovered   int
-}
-
-// NewCFCard returns a card with the given capacity (the deployment used
-// 4 GB cards).
-func NewCFCard(capacity int64) *CFCard {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("storage: non-positive CF capacity %d", capacity))
-	}
-	return &CFCard{capacity: capacity, files: make(map[string]*StoredFile)}
-}
-
-// Used returns the bytes in use.
-func (c *CFCard) Used() int64 { return c.used }
-
-// Write stores a file, replacing any previous version. It fails if the card
-// would overflow.
-func (c *CFCard) Write(name string, size int64, now time.Time) error {
-	if size < 0 {
-		return fmt.Errorf("storage: negative size for %q", name)
-	}
-	var old int64
-	if f, ok := c.files[name]; ok {
-		old = f.Size
-	}
-	if c.used-old+size > c.capacity {
-		return fmt.Errorf("storage: card full writing %q (%d used of %d)", name, c.used, c.capacity)
-	}
-	c.used += size - old
-	c.files[name] = &StoredFile{Name: name, Size: size, Created: now}
-	return nil
-}
-
-// Read returns a file's metadata. Corrupted files return ErrCorrupted.
-func (c *CFCard) Read(name string) (StoredFile, error) {
-	f, ok := c.files[name]
-	if !ok {
-		return StoredFile{}, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	if f.corrupted {
-		return StoredFile{}, fmt.Errorf("%w: %q", ErrCorrupted, name)
-	}
-	return *f, nil
-}
-
-// Delete removes a file; deleting a missing file is an error.
-func (c *CFCard) Delete(name string) error {
-	f, ok := c.files[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	c.used -= f.Size
-	delete(c.files, name)
-	return nil
-}
-
-// List returns file names sorted lexicographically.
-func (c *CFCard) List() []string {
-	names := make([]string, 0, len(c.files))
-	for n := range c.files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Corrupt marks a single file corrupted (targeted failure injection).
-func (c *CFCard) Corrupt(name string) error {
-	f, ok := c.files[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	if !f.corrupted {
-		f.corrupted = true
-		c.corruptions++
-	}
-	return nil
-}
-
-// CorruptFraction corrupts roughly the given fraction of files using the
-// provided picker (deterministic when fed hash noise). It returns how many
-// files were newly corrupted.
-func (c *CFCard) CorruptFraction(fraction float64, pick func(name string) float64) int {
-	n := 0
-	for _, name := range c.List() {
-		f := c.files[name]
-		if !f.corrupted && pick(name) < fraction {
-			f.corrupted = true
-			c.corruptions++
-			n++
-		}
-	}
-	return n
-}
-
-// CorruptedCount returns the number of currently corrupted files.
-func (c *CFCard) CorruptedCount() int {
-	n := 0
-	for _, f := range c.files {
-		if f.corrupted {
-			n++
-		}
-	}
-	return n
-}
-
-// Recover attempts data recovery on every corrupted file, in the spirit of
-// the successful field recovery. recoverP in [0,1] is the per-file success
-// probability evaluated via the picker; returns (recovered, lost).
-func (c *CFCard) Recover(recoverP float64, pick func(name string) float64) (recovered, lost int) {
-	for _, name := range c.List() {
-		f := c.files[name]
-		if !f.corrupted {
-			continue
-		}
-		if pick(name) < recoverP {
-			f.corrupted = false
-			c.recovered++
-			recovered++
-		} else {
-			lost++
-		}
-	}
-	return recovered, lost
-}
 
 // Spool is the persistent upload queue: everything waiting to go to
 // Southampton. Items are kept in arrival order and only removed once the

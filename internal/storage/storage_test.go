@@ -5,126 +5,9 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"repro/internal/simenv"
 )
 
 var t0 = time.Date(2009, 9, 1, 12, 0, 0, 0, time.UTC)
-
-func pickFn(seed int64) func(string) float64 {
-	return func(name string) float64 {
-		return simenv.HashNoise(seed, name, 0)
-	}
-}
-
-func TestCFWriteReadDelete(t *testing.T) {
-	c := NewCFCard(1 << 20)
-	if err := c.Write("a.dat", 1000, t0); err != nil {
-		t.Fatal(err)
-	}
-	f, err := c.Read("a.dat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Size != 1000 || f.Name != "a.dat" || !f.Created.Equal(t0) {
-		t.Fatalf("read %+v", f)
-	}
-	if c.Used() != 1000 {
-		t.Fatalf("used %d", c.Used())
-	}
-	if err := c.Delete("a.dat"); err != nil {
-		t.Fatal(err)
-	}
-	if c.Used() != 0 {
-		t.Fatalf("used %d after delete", c.Used())
-	}
-	if _, err := c.Read("a.dat"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("want ErrNotFound, got %v", err)
-	}
-}
-
-func TestCFOverwriteAdjustsUsage(t *testing.T) {
-	c := NewCFCard(1 << 20)
-	if err := c.Write("f", 500, t0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Write("f", 200, t0); err != nil {
-		t.Fatal(err)
-	}
-	if c.Used() != 200 {
-		t.Fatalf("used %d after overwrite, want 200", c.Used())
-	}
-}
-
-func TestCFFullRejectsWrite(t *testing.T) {
-	c := NewCFCard(1000)
-	if err := c.Write("a", 900, t0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Write("b", 200, t0); err == nil {
-		t.Fatal("overflow write accepted")
-	}
-	// Replacing the large file with a smaller one must work.
-	if err := c.Write("a", 100, t0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCorruptionAndRecovery(t *testing.T) {
-	c := NewCFCard(1 << 30)
-	for i := 0; i < 100; i++ {
-		name := string(rune('a'+i%26)) + string(rune('0'+i/26))
-		if err := c.Write(name, 1024, t0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n := c.CorruptFraction(0.3, pickFn(1))
-	if n == 0 {
-		t.Fatal("no files corrupted at 30%")
-	}
-	if c.CorruptedCount() != n {
-		t.Fatalf("corrupted count %d != %d", c.CorruptedCount(), n)
-	}
-	// Reading a corrupted file fails.
-	failed := false
-	for _, name := range c.List() {
-		if _, err := c.Read(name); errors.Is(err, ErrCorrupted) {
-			failed = true
-			break
-		}
-	}
-	if !failed {
-		t.Fatal("no corrupted file surfaced ErrCorrupted")
-	}
-	// §VII: recovery proved possible — with a high success rate most data
-	// comes back.
-	rec, lost := c.Recover(0.9, pickFn(2))
-	if rec == 0 {
-		t.Fatal("recovery recovered nothing")
-	}
-	if rec+lost != n {
-		t.Fatalf("recovered %d + lost %d != corrupted %d", rec, lost, n)
-	}
-	if c.CorruptedCount() != lost {
-		t.Fatalf("still-corrupted %d != lost %d", c.CorruptedCount(), lost)
-	}
-}
-
-func TestCorruptTargeted(t *testing.T) {
-	c := NewCFCard(1 << 20)
-	if err := c.Write("x", 10, t0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Corrupt("x"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Read("x"); !errors.Is(err, ErrCorrupted) {
-		t.Fatalf("want ErrCorrupted, got %v", err)
-	}
-	if err := c.Corrupt("nope"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("want ErrNotFound, got %v", err)
-	}
-}
 
 func TestSpoolFIFO(t *testing.T) {
 	s := NewSpool()
@@ -180,37 +63,6 @@ func TestItemKindStrings(t *testing.T) {
 	}
 	if ItemKind(0).String() != "unknown" {
 		t.Fatal("zero ItemKind should be invalid")
-	}
-}
-
-// Property: used bytes always equals the sum of live file sizes.
-func TestPropertyUsageConsistent(t *testing.T) {
-	f := func(ops []struct {
-		Name byte
-		Size uint16
-		Del  bool
-	}) bool {
-		c := NewCFCard(1 << 30)
-		for _, op := range ops {
-			name := string(rune('a' + op.Name%8))
-			if op.Del {
-				_ = c.Delete(name)
-			} else {
-				_ = c.Write(name, int64(op.Size), t0)
-			}
-		}
-		var sum int64
-		for _, n := range c.List() {
-			f, err := c.Read(n)
-			if err != nil {
-				return false
-			}
-			sum += f.Size
-		}
-		return sum == c.Used()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -9,7 +9,7 @@
 //     retry pacing, an injectable nowFn) carries a justified allow.
 //   - globalrand: package-level math/rand draws pull from one shared
 //     global stream, so adding a draw anywhere perturbs every trace.
-//     Randomness flows through named simenv.Rand streams instead.
+//     Randomness flows through simenv.HashNoise instead.
 //   - goroutine: a go statement breaks the single simulation goroutine;
 //     only the sweep/distrib worker pools may launch them, each under an
 //     explicit allow.
@@ -37,8 +37,8 @@ var wallclockFuncs = map[string]bool{
 
 // globalrandFuncs are the package-level math/rand (and v2) draw functions
 // backed by the shared global source. Constructors (New, NewSource,
-// NewPCG, NewChaCha8, NewZipf) build independent streams and stay legal —
-// simenv itself derives its named streams that way.
+// NewPCG, NewChaCha8, NewZipf) build independent, seeded streams and stay
+// legal.
 var globalrandFuncs = map[string]bool{
 	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
 	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
@@ -116,7 +116,7 @@ func (a *analysis) checkForbiddenRef(pd *pkgData, sel *ast.SelectorExpr) {
 	case "math/rand", "math/rand/v2":
 		if globalrandFuncs[fn.Name()] {
 			a.reportf(pos, checkGlobalrand,
-				"package-level rand.%s draws from the shared global stream; use a named simenv Rand stream",
+				"package-level rand.%s draws from the shared global stream; use simenv.HashNoise",
 				fn.Name())
 		}
 	}
